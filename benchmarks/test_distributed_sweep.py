@@ -17,12 +17,12 @@ import time
 
 import pytest
 
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.sweep import (
     DistributedBackend,
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     TcpBroker,
     results_identical,
     transport_from_spec,
@@ -30,18 +30,21 @@ from repro.sweep import (
 
 from repro import telemetry
 
-from benchmarks._common import SEED, record_bench, scenario
+from benchmarks._common import SEED, record_bench
 
 pytestmark = pytest.mark.benchmark
 
 #: 2 services x 2 mixes x 2 policies x 2 loads x 2 seeds = 32 scenarios.
-SMOKE_GRID = SweepGrid(
-    services=("memcached", "mongodb"),
-    app_mixes=(("kmeans",), ("canneal", "snp")),
-    policies=("pliant", "precise"),
-    load_fractions=(0.6, 0.85),
-    seeds=(SEED, SEED + 1),
-    base=scenario("memcached", ("kmeans",), horizon=120.0),
+SMOKE_SPEC = ExperimentSpec(
+    name="distributed-smoke",
+    base={"horizon": 120.0},
+    axes={
+        "service": ("memcached", "mongodb"),
+        "apps": ("kmeans", ("canneal", "snp")),
+        "policy": ("pliant", "precise"),
+        "load_fraction": (0.6, 0.85),
+        "seed": (SEED, SEED + 1),
+    },
 )
 
 LEASE_TTL = 3.0
@@ -55,11 +58,11 @@ def _timed(fn):
 
 @pytest.mark.parametrize("transport_kind", ["filesystem", "tcp"])
 def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
-    grid = SMOKE_GRID
-    assert len(grid) >= 32
+    spec = SMOKE_SPEC
+    assert len(spec) >= 32
 
     serial, t_serial = _timed(
-        lambda: SweepEngine(backend=SerialBackend()).run(grid)
+        lambda: run_experiment(spec, backend=SerialBackend())
     )
 
     broker = None
@@ -79,7 +82,7 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
             local_workers=1,  # the survivor; the victim is spawned by hand
         )
         transport = transport_from_spec(spool_spec, lease_ttl=LEASE_TTL)
-        transport.submit_many(grid.scenarios())
+        transport.submit_many(spec.scenarios())
 
         victim = backend.spawn_local_worker(index=99)
         deadline = time.monotonic() + 120.0
@@ -95,28 +98,30 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
         killed_at_status = transport.status()
 
         engine = SweepEngine(cache=cache, backend=backend)
-        distributed, t_distributed = _timed(lambda: engine.run(grid))
+        distributed, t_distributed = _timed(
+            lambda: run_experiment(spec, engine=engine)
+        )
         identical = all(
             results_identical(a.result, b.result)
             for a, b in zip(serial, distributed)
         )
 
         # -- warm rerun must be nearly free -------------------------------
-        warm, t_warm = _timed(lambda: engine.run(grid))
+        warm, t_warm = _timed(lambda: run_experiment(spec, engine=engine))
         final_status = transport.status()
     finally:
         if broker is not None:
             broker.stop()
         telemetry.flush()  # the submitter's own shard joins the timeline
     warm_hits = sum(1 for outcome in warm if outcome.from_cache)
-    warm_hit_fraction = warm_hits / len(grid)
+    warm_hit_fraction = warm_hits / len(spec)
 
     speedup = t_serial / t_distributed if t_distributed > 0 else float("inf")
     record_bench(
         "distributed_smoke",
         {
             "transport": transport_kind,
-            "grid_size": len(grid),
+            "grid_size": len(spec),
             "serial_s": round(t_serial, 3),
             "distributed_s": round(t_distributed, 3),
             "distributed_speedup": round(speedup, 2),
@@ -130,7 +135,7 @@ def test_distributed_smoke_with_worker_kill(transport_kind, tmp_path, capsys):
 
     with capsys.disabled():
         print()
-        print(f"=== distributed smoke ({transport_kind}): {len(grid)} "
+        print(f"=== distributed smoke ({transport_kind}): {len(spec)} "
               f"scenarios, 2 workers, 1 killed mid-sweep ===")
         print(f"at kill: {killed_at_status.done} done, "
               f"{killed_at_status.running} running, "

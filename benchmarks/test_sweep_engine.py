@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.experiment import ExperimentSpec, run_experiment
 from repro.sim.analytic import mmc_tail_latency, mmc_tail_latency_batch
 from repro.sim.distributions import Exponential
 from repro.sim.queueing import QueueSimulator, batch_load_sweep
@@ -32,7 +33,6 @@ from repro.sweep import (
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     TcpBroker,
     results_identical,
 )
@@ -45,14 +45,11 @@ SWEEP_APPS = ("canneal", "kmeans", "snp")
 LOADS = (0.4, 0.55, 0.7, 0.85, 1.0)
 
 
-def _grid() -> SweepGrid:
-    return SweepGrid(
-        services=("memcached",),
-        app_mixes=tuple((app,) for app in SWEEP_APPS),
-        policies=("pliant",),
-        load_fractions=LOADS,
-        seeds=(SEED,),
-        base=scenario("memcached", (SWEEP_APPS[0],)),
+def _spec() -> ExperimentSpec:
+    return ExperimentSpec(
+        name="sweep-engine",
+        base={"service": "memcached", "policy": "pliant", "seed": SEED},
+        axes={"apps": SWEEP_APPS, "load_fraction": LOADS},
     )
 
 
@@ -63,15 +60,15 @@ def _timed(fn):
 
 
 def test_sweep_engine_speedup(capsys):
-    grid = _grid()
+    spec = _spec()
     cores = os.cpu_count() or 1
 
     # -- serial vs parallel (identical results, wall-clock gap) ----------
     serial, t_serial = _timed(
-        lambda: SweepEngine(backend=SerialBackend()).run(grid)
+        lambda: run_experiment(spec, backend=SerialBackend())
     )
     parallel, t_parallel = _timed(
-        lambda: SweepEngine(backend=ProcessBackend()).run(grid)
+        lambda: run_experiment(spec, backend=ProcessBackend())
     )
     identical = all(
         results_identical(a.result, b.result) for a, b in zip(serial, parallel)
@@ -81,8 +78,8 @@ def test_sweep_engine_speedup(capsys):
     # -- cold vs warm cache ---------------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         engine = SweepEngine(cache=SweepCache(tmp))
-        cold, t_cold = _timed(lambda: engine.run(grid))
-        warm, t_warm = _timed(lambda: engine.run(grid))
+        cold, t_cold = _timed(lambda: run_experiment(spec, engine=engine))
+        warm, t_warm = _timed(lambda: run_experiment(spec, engine=engine))
     warm_hits = sum(1 for o in warm if o.from_cache)
     warm_fraction = t_warm / t_cold if t_cold > 0 else float("inf")
 
@@ -115,7 +112,7 @@ def test_sweep_engine_speedup(capsys):
     record_bench(
         "sweep_engine_speedup",
         {
-            "grid_size": len(grid),
+            "grid_size": len(spec),
             "serial_s": round(t_serial, 3),
             "parallel_s": round(t_parallel, 3),
             "parallel_workers": cores,
@@ -133,7 +130,7 @@ def test_sweep_engine_speedup(capsys):
     with capsys.disabled():
         print()
         print("=== sweep engine: Fig. 8-style grid "
-              f"({len(grid)} scenarios, {cores} cores) ===")
+              f"({len(spec)} scenarios, {cores} cores) ===")
         print(f"serial {t_serial:.2f}s  parallel {t_parallel:.2f}s "
               f"({parallel_speedup:.2f}x)  identical: {identical}")
         print(f"cold {t_cold:.2f}s  warm {t_warm:.3f}s "
@@ -142,7 +139,7 @@ def test_sweep_engine_speedup(capsys):
               f"vectorized analytic surface: {analytic_speedup:.1f}x")
 
     assert identical, "serial and parallel sweeps must be bit-identical"
-    assert warm_hits == len(grid)
+    assert warm_hits == len(spec)
     assert warm_fraction < 0.10, f"warm cache cost {warm_fraction:.1%} of cold"
     assert vectorized_speedup >= 4.0, (
         f"vectorized queueing sweep only {vectorized_speedup:.1f}x faster"
@@ -153,15 +150,17 @@ def test_sweep_engine_speedup(capsys):
         )
 
 
-def _dist_grid() -> SweepGrid:
+def _dist_spec() -> ExperimentSpec:
     """64 scenarios: big enough that chunked leases amortize the broker."""
-    return SweepGrid(
-        services=("memcached", "mongodb"),
-        app_mixes=(("canneal",), ("kmeans",)),
-        policies=("pliant",),
-        load_fractions=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        seeds=(SEED, SEED + 1),
-        base=scenario("memcached", ("canneal",)),
+    return ExperimentSpec(
+        name="distributed-vs-serial",
+        base={"policy": "pliant"},
+        axes={
+            "service": ("memcached", "mongodb"),
+            "apps": ("canneal", "kmeans"),
+            "load_fraction": (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+            "seed": (SEED, SEED + 1),
+        },
     )
 
 
@@ -177,14 +176,16 @@ def test_distributed_speedup(transport, tmp_path, capsys):
     serial reference writes to its own fresh cache so both sides pay
     result serialization.
     """
-    grid = _dist_grid()
+    spec = _dist_spec()
     cores = os.cpu_count() or 1
     workers = min(cores, 4)
 
     serial_engine = SweepEngine(
         cache=SweepCache(tmp_path / "serial-cache"), backend=SerialBackend()
     )
-    serial, t_serial = _timed(lambda: serial_engine.run(grid))
+    serial, t_serial = _timed(
+        lambda: run_experiment(spec, engine=serial_engine)
+    )
 
     broker = None
     if transport == "tcp":
@@ -207,7 +208,9 @@ def test_distributed_speedup(transport, tmp_path, capsys):
             for i in range(2 * workers)
         ]
         engine.run(warmup)
-        distributed, t_distributed = _timed(lambda: engine.run(grid))
+        distributed, t_distributed = _timed(
+            lambda: run_experiment(spec, engine=engine)
+        )
     finally:
         for proc in procs:
             proc.terminate()
@@ -225,7 +228,7 @@ def test_distributed_speedup(transport, tmp_path, capsys):
         "distributed_vs_serial",
         {
             "transport": transport,
-            "grid_size": len(grid),
+            "grid_size": len(spec),
             "serial_s": round(t_serial, 3),
             "distributed_s": round(t_distributed, 3),
             "distributed_workers": workers,
@@ -236,7 +239,7 @@ def test_distributed_speedup(transport, tmp_path, capsys):
 
     with capsys.disabled():
         print()
-        print(f"=== distributed backend ({transport}): {len(grid)} scenarios, "
+        print(f"=== distributed backend ({transport}): {len(spec)} scenarios, "
               f"{workers} warm workers ===")
         print(f"serial {t_serial:.2f}s  distributed {t_distributed:.2f}s "
               f"({speedup:.2f}x)  identical: {identical}")

@@ -14,10 +14,11 @@ Public API tour
 ``repro.search``       -- budgeted design-space search: scenario
                           strategies (grid/random/halving/pareto) plus
                           the paper's Section 3 variant exploration
-                          (``repro.exploration`` is a deprecated front)
 ``repro.core``         -- the Pliant runtime (monitor, actuator, controller)
-``repro.cluster``      -- colocation experiment harness and sweeps
-``repro.experiment``   -- declarative specs, run_experiment, ResultSet
+``repro.cluster``      -- colocation experiment harness, mix enumeration
+``repro.experiment``   -- declarative specs, run_experiment, ResultSet:
+                          the one way to declare and run a sweep
+``repro.sweep``        -- scenarios, result cache, execution backends
 ``repro.analysis``     -- repro-lint: AST invariant checker (zones,
                           pluggable rules, baseline; ``python -m
                           repro.analysis``)

@@ -16,7 +16,7 @@ Architecture
   ``register_policy`` / ``register_strategy``).
 * :mod:`repro.analysis.rules` — the per-file built-ins (``no-wallclock``,
   ``seeded-rng``, ``lease-clock``, ``lock-discipline``,
-  ``serialization-safety``, ``no-deprecated-imports``) and the
+  ``serialization-safety``, ``telemetry-side-channel``) and the
   whole-program rules (``transitive-wallclock``, ``transitive-rng``,
   ``lock-order``, ``spec-schema-drift``).
 * :mod:`repro.analysis.symbols` / :mod:`~repro.analysis.callgraph` /

@@ -78,7 +78,7 @@ class Rule(ABC):
 
     ``zones`` names where the invariant holds; the analyzer only calls
     :meth:`check` for files whose zone is in the set.  Rules that need
-    finer path logic (e.g. excluding the module they deprecate) apply it
+    finer path logic (e.g. exempting one package) apply it
     inside ``check`` via ``ctx.relpath``.
     """
 

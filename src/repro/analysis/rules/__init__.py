@@ -9,7 +9,6 @@ sure the module is imported before the analyzer runs.
 """
 
 from repro.analysis.rules.clocks import LeaseClockRule, NoWallclockRule
-from repro.analysis.rules.imports import DeprecatedImportRule
 from repro.analysis.rules.lockorder import LockOrderRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.rng import SeededRngRule
@@ -22,7 +21,6 @@ from repro.analysis.rules.transitive import (
 )
 
 __all__ = [
-    "DeprecatedImportRule",
     "LeaseClockRule",
     "LockDisciplineRule",
     "LockOrderRule",

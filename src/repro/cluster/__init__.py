@@ -8,12 +8,7 @@ from repro.cluster.colocation import (
 )
 from repro.cluster.metrics import ColocationSummary, ViolinStats, summarize_pair
 from repro.cluster.placement import PlacementAdvisor, PlacementPrediction
-from repro.cluster.sweeps import (
-    breakdown_outcomes,
-    combination_mixes,
-    interval_sweep,
-    load_sweep,
-)
+from repro.cluster.sweeps import breakdown_outcomes, combination_mixes
 
 __all__ = [
     "ColocationSummary",
@@ -24,9 +19,7 @@ __all__ = [
     "build_engine",
     "combination_mixes",
     "compare_policies",
-    "interval_sweep",
     "ladder_for",
-    "load_sweep",
     "run_colocation",
     "summarize_pair",
 ]

@@ -1,187 +1,18 @@
-"""Parameter sweeps and mix enumeration for the evaluation figures.
+"""Mix enumeration and outcome breakdowns for the evaluation figures.
 
-.. deprecated::
-    The axis-shaped helpers (:func:`load_sweep`, :func:`interval_sweep`)
-    are thin compatibility fronts over the declarative experiment API:
-    each builds a one-axis :class:`repro.experiment.ExperimentSpec` and
-    hands it to :func:`repro.experiment.run_experiment`.  New code
-    should build specs directly — any scenario field is an axis there,
-    not just load and decision interval.  The default engine runs inline
-    and uncached (the old contract of these helpers); pass
-    ``engine=SweepEngine(cache=SweepCache())`` to fan out across cores
-    and memoize on disk, or ``backend=`` any
-    :class:`repro.sweep.ExecutionBackend`.
+Load and decision-interval sweeps (Figs. 8 and 9) are one-axis
+:class:`repro.experiment.ExperimentSpec` runs; this module keeps the
+pieces the figure drivers share beyond the spec: the k-way app mixes of
+Figs. 7/10 and the Fig. 10 escalation breakdown.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import warnings
 from dataclasses import dataclass
 
-from repro.core.runtime import ColocationConfig, ColocationResult
-from repro.experiment import ExperimentSpec, run_experiment
+from repro.core.runtime import ColocationResult
 from repro.rng import child_generator
-from repro.sweep.backends import ExecutionBackend
-from repro.sweep.engine import SweepEngine, register_policy
-from repro.sweep.grid import Scenario
-
-
-def _resolve_engine(
-    engine: SweepEngine | None, backend: ExecutionBackend | None
-) -> SweepEngine:
-    """Explicit engine wins; a bare backend gets wrapped; default is inline."""
-    if engine is not None:
-        return engine
-    if backend is not None:
-        return SweepEngine(backend=backend)
-    return SweepEngine(workers=1)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One sweep coordinate and its result."""
-
-    value: float
-    result: ColocationResult
-
-
-def _config_base(base: ColocationConfig) -> dict:
-    """Spec base fields carrying a legacy config's knobs."""
-    return {
-        "load_fraction": base.load_fraction,
-        "decision_interval": base.decision_interval,
-        "monitor_epoch": base.monitor_epoch,
-        "slack_threshold": base.slack_threshold,
-        "horizon": base.horizon,
-        "seed": base.seed,
-        "stop_when_apps_done": base.stop_when_apps_done,
-    }
-
-
-def _build_from_factory(policy_factory, scenario, kwargs):
-    """Module-level adapter from a legacy zero-arg factory to a builder.
-
-    Policy builders take ``(scenario, kwargs)``; the legacy factories
-    take nothing.  Binding the factory with :func:`functools.partial`
-    (instead of a closure/lambda) keeps the registered builder
-    picklable, so a transient factory registration degrades exactly like
-    any other local-only policy rather than poisoning a process-pool
-    submission with an unpicklable callable.
-    """
-    return policy_factory()
-
-
-def _factory_policy_name(policy_factory, engine: SweepEngine) -> str:
-    """Route a legacy ``policy_factory`` through the policy registry.
-
-    Registers ``policy_factory`` under a name derived from its qualified
-    name and returns that name, so factory-based sweeps run through the
-    engine and get fan-out, per-scenario seeding, and caching like every
-    other sweep.  Deprecated because the name is only as unique as the
-    factory's qualname: two different closures with the same qualname
-    (or one closing over changing state) would share cache entries —
-    register the policy explicitly with ``register_policy`` to control
-    identity, and to make it resolvable inside distributed workers
-    (``worker --import``).
-    """
-    from repro.sweep.backends import DistributedBackend
-
-    if isinstance(engine.backend, DistributedBackend):
-        # The transient registration only exists in this process; remote
-        # workers would fail every job with "unknown policy".  Fail loudly
-        # here instead.
-        raise ValueError(
-            "policy_factory= cannot run on a distributed backend: the "
-            "factory is registered only in the submitting process.  "
-            "Register the policy in an importable module with "
-            "repro.sweep.register_policy(name, builder), pass "
-            "policy=name, and start workers with --import that.module"
-        )
-    name = (
-        f"factory:{getattr(policy_factory, '__module__', 'unknown')}."
-        f"{getattr(policy_factory, '__qualname__', repr(policy_factory))}"
-    )
-    warnings.warn(
-        "policy_factory= is deprecated: register the policy with "
-        f"repro.sweep.register_policy(...) and pass its name (sweeping "
-        f"through transient registration {name!r}; beware that cached "
-        "results are keyed by that name, not by what the factory closes "
-        "over)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    register_policy(
-        name,
-        functools.partial(_build_from_factory, policy_factory),
-        overwrite=True,
-    )
-    return name
-
-
-def load_sweep(
-    service_name: str,
-    app_names: tuple[str, ...],
-    load_fractions: tuple[float, ...] = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-    policy_factory=None,
-    base_config: ColocationConfig | None = None,
-    engine: SweepEngine | None = None,
-    backend: ExecutionBackend | None = None,
-) -> list[SweepPoint]:
-    """Fig. 8: sweep offered load as a fraction of saturation."""
-    base = base_config or ColocationConfig()
-    resolved = _resolve_engine(engine, backend)
-    policy = (
-        "pliant" if policy_factory is None
-        else _factory_policy_name(policy_factory, resolved)
-    )
-    shared = _config_base(base)
-    shared.pop("load_fraction")  # the axis owns it
-    spec = ExperimentSpec(
-        name=f"load-sweep/{service_name}",
-        base={
-            **shared,
-            "service": service_name,
-            "apps": tuple(app_names),
-            "policy": policy,
-        },
-        axes={"load_fraction": tuple(float(v) for v in load_fractions)},
-    )
-    results = run_experiment(spec, engine=resolved)
-    return [
-        SweepPoint(value=o.scenario.load_fraction, result=o.result)
-        for o in results
-    ]
-
-
-def interval_sweep(
-    service_name: str,
-    app_names: tuple[str, ...],
-    intervals: tuple[float, ...] = (0.2, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-    base_config: ColocationConfig | None = None,
-    engine: SweepEngine | None = None,
-    backend: ExecutionBackend | None = None,
-) -> list[SweepPoint]:
-    """Fig. 9: sweep Pliant's decision interval."""
-    base = base_config or ColocationConfig()
-    shared = _config_base(base)
-    shared.pop("decision_interval")  # the axis owns it
-    spec = ExperimentSpec(
-        name=f"interval-sweep/{service_name}",
-        base={
-            **shared,
-            "service": service_name,
-            "apps": tuple(app_names),
-            "policy": "pliant",
-        },
-        axes={"decision_interval": tuple(float(v) for v in intervals)},
-    )
-    results = run_experiment(spec, engine=_resolve_engine(engine, backend))
-    return [
-        SweepPoint(value=o.scenario.decision_interval, result=o.result)
-        for o in results
-    ]
 
 
 def combination_mixes(

@@ -3,13 +3,14 @@
 The evaluation is a matrix of colocation experiments; this package makes
 the whole matrix data:
 
-* :mod:`repro.experiment.spec` — :class:`ExperimentSpec`: a sweep as
-  named open axes over **any** :class:`~repro.sweep.grid.Scenario`
-  field (load shape, platform, slack threshold, horizon, ... — not just
-  the six the legacy :class:`~repro.sweep.grid.SweepGrid` hard-codes),
-  with a JSON round trip for the distributed CLI,
-* :mod:`repro.experiment.run` — :func:`run_experiment`, the single
-  entrypoint that resolves engine/backend/cache once and runs any spec,
+* :mod:`repro.experiment.spec` — :class:`ExperimentSpec`, the one way
+  to declare a sweep: named open axes over **any**
+  :class:`~repro.sweep.grid.Scenario` field (service, apps, policy,
+  load, decision interval, seed, load shape, platform, slack threshold,
+  horizon, ...), with a JSON round trip for the distributed CLI,
+* :mod:`repro.experiment.run` — :func:`run_experiment`, the one way to
+  run it: resolves engine/backend/cache once and hands the expanded
+  scenarios to :meth:`~repro.sweep.engine.SweepEngine.run`,
 * :mod:`repro.experiment.resultset` — :class:`ResultSet`: grid-order
   outcomes with ``filter``/``lookup``/``group_by``/``aggregate`` and
   tabular/pickled export, so figure drivers stop re-implementing

@@ -4,15 +4,15 @@ An :class:`ExperimentSpec` describes a whole sweep as data: a ``base``
 of shared scenario fields plus named, open-ended ``axes`` — **any**
 :class:`~repro.sweep.grid.Scenario` field can be an axis, including the
 load-shape (``loadgen_shape``/``loadgen_params``), ``platform``,
-``slack_threshold`` and ``horizon`` axes, not just the handful the old
-:class:`~repro.sweep.grid.SweepGrid` hard-codes.  Specs round-trip
-through JSON, so the same experiment definition drives an in-process
-sweep, the distributed CLI (``python -m repro.sweep submit --spec``),
-and a saved artifact next to its results.
+``slack_threshold`` and ``horizon`` axes.  It is the one way to declare
+a sweep.  Specs round-trip through JSON, so the same experiment
+definition drives an in-process sweep, the distributed CLI
+(``python -m repro.sweep submit --spec``), and a saved artifact next to
+its results.
 
 Expansion order is deterministic: the cross product iterates axes in
-declaration order, first axis slowest — the same contract as
-``SweepGrid``, so related scenarios stay adjacent for cache locality.
+declaration order, first axis slowest, so related scenarios stay
+adjacent for cache locality.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from pathlib import Path
 
 from repro.sweep.grid import (
     Scenario,
-    SweepGrid,
     _freeze,
     _jsonify,
     _normalize_mix,
@@ -267,38 +266,6 @@ class ExperimentSpec:
             rng_seed=self.rng_seed if rng_seed is None else rng_seed,
         )
 
-    @classmethod
-    def from_grid(cls, grid: SweepGrid, name: str = "") -> "ExperimentSpec":
-        """Lift a legacy :class:`SweepGrid` into an equivalent spec.
-
-        Axis order mirrors the grid's documented expansion order, so
-        ``spec.scenarios() == grid.scenarios()``.
-        """
-        template = grid.base or Scenario(
-            service=grid.services[0], apps=grid.app_mixes[0]
-        )
-        base = {
-            field: getattr(template, field)
-            for field in scenario_field_names()
-            if field
-            not in (
-                "service", "apps", "policy", "load_fraction",
-                "decision_interval", "seed",
-            )
-        }
-        return cls(
-            axes=[
-                ("service", grid.services),
-                ("apps", grid.app_mixes),
-                ("policy", grid.policies),
-                ("load_fraction", grid.load_fractions),
-                ("decision_interval", grid.decision_intervals),
-                ("seed", grid.seeds),
-            ],
-            base=base,
-            name=name,
-        )
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -341,15 +308,27 @@ class ExperimentSpec:
                 f"unsupported spec format {version!r} (this build reads "
                 f"format {SPEC_FORMAT})"
             )
+
+        def field(name: str, coerce, default):
+            value = payload.get(name, default)
+            try:
+                return coerce(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"spec field {name!r} is malformed ({value!r}): {exc}"
+                ) from None
+
         return cls(
-            axes=[(k, tuple(v)) for k, v in payload.get("axes", [])],
-            base=payload.get("base", {}),
+            axes=field(
+                "axes", lambda axes: [(k, tuple(v)) for k, v in axes], []
+            ),
+            base=field("base", _as_pairs, {}),
             name=payload.get("name", ""),
             description=payload.get("description", ""),
             strategy=payload.get("strategy", "grid"),
             budget=payload.get("budget"),
-            objective=tuple(payload.get("objective", ())),
-            rng_seed=payload.get("rng_seed", 0),
+            objective=field("objective", tuple, ()),
+            rng_seed=field("rng_seed", int, 0),
         )
 
     def to_json(self, indent: int | None = 2) -> str:

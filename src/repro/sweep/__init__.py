@@ -3,10 +3,12 @@
 The evaluation figures all reduce to sweeping a grid of colocation
 scenarios — (service, app mix, load, policy, decision interval, seed) —
 and aggregating the per-scenario :class:`~repro.core.runtime.ColocationResult`.
-This package makes that grid a first-class object:
+Sweeps are declared with :class:`repro.experiment.ExperimentSpec` and
+run with :func:`repro.experiment.run_experiment`; this package executes
+them:
 
-* :mod:`repro.sweep.grid` — declarative scenario grids
-  (:class:`Scenario`, :class:`SweepGrid`),
+* :mod:`repro.sweep.grid` — :class:`Scenario`, one sweep coordinate as
+  pure data,
 * :mod:`repro.sweep.cache` — on-disk content-addressed result cache
   (:class:`SweepCache`), keyed by a stable hash of the scenario config,
   with stats and LRU pruning,
@@ -21,7 +23,7 @@ This package makes that grid a first-class object:
 * :mod:`repro.sweep.engine` — :class:`SweepEngine`, the facade that
   probes the cache and hands misses to a backend, plus the policy
   registry (:func:`register_policy`),
-* :mod:`repro.sweep.cli` — ``python -m repro.sweep``: submit grids,
+* :mod:`repro.sweep.cli` — ``python -m repro.sweep``: submit specs,
   serve a spool as a worker, inspect spool/cache state.
 
 Results are bit-identical between serial, process-parallel, and
@@ -58,7 +60,7 @@ from repro.sweep.engine import (
     results_identical,
     run_scenario,
 )
-from repro.sweep.grid import Scenario, SweepGrid
+from repro.sweep.grid import Scenario
 
 __all__ = [
     "BrokerTransport",
@@ -72,7 +74,6 @@ __all__ = [
     "SerialBackend",
     "SweepCache",
     "SweepEngine",
-    "SweepGrid",
     "SweepOutcome",
     "TcpBroker",
     "TcpTransport",

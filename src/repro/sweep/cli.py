@@ -29,10 +29,12 @@ the cache still has to be shared) is three::
     host-b$ python -m repro.sweep worker --spool tcp://host-a:7077 \\
                 --cache /share/cache --exit-when-idle
 
-Grid flags only reach the six axes ``SweepGrid`` hard-codes; ``--spec
-exp.json`` submits a full :class:`~repro.experiment.ExperimentSpec` —
-any scenario field as an axis (load shape, platform, slack threshold,
-...), written once and shared between hosts, figures, and scripts.
+The grid flags build an :class:`~repro.experiment.ExperimentSpec` with
+six axes (service, apps, policy, load_fraction, decision_interval, seed)
+and ``--horizon`` / ``--monitor-epoch`` / ``--slack-threshold`` in its
+base; ``--spec exp.json`` submits any spec — any scenario field as an
+axis (load shape, platform, slack threshold, ...), written once and
+shared between hosts, figures, and scripts.
 
 ``--strategy`` / ``--budget`` / ``--objective`` / ``--rng-seed`` turn a
 submit into a budgeted search (:mod:`repro.search`): the submitter
@@ -62,7 +64,6 @@ from repro.sweep.backends.distributed import (
 )
 from repro.sweep.backends.tcp import TcpBroker
 from repro.sweep.cache import SweepCache
-from repro.sweep.grid import Scenario, SweepGrid
 
 __all__ = ["build_parser", "build_spec", "main"]
 
@@ -119,7 +120,7 @@ def _fold_search_flags(spec: ExperimentSpec, args) -> ExperimentSpec:
 
 
 def build_spec(args) -> ExperimentSpec:
-    """The experiment to submit: ``--spec`` file, or grid flags lifted."""
+    """The experiment to submit: ``--spec`` file, or the grid flags as axes."""
     if args.spec:
         overridden = [
             f"--{flag.replace('_', '-')}"
@@ -136,23 +137,22 @@ def build_spec(args) -> ExperimentSpec:
         raise SystemExit(
             "submit needs --apps (grid flags) or --spec exp.json"
         )
-    base = Scenario(
-        service=args.services[0],
-        apps=args.apps[0],
-        horizon=args.horizon,
-        monitor_epoch=args.monitor_epoch,
-        slack_threshold=args.slack_threshold,
+    spec = ExperimentSpec(
+        axes=[
+            ("service", args.services),
+            ("apps", args.apps),
+            ("policy", args.policies),
+            ("load_fraction", args.loads),
+            ("decision_interval", args.intervals),
+            ("seed", args.seeds),
+        ],
+        base={
+            "horizon": args.horizon,
+            "monitor_epoch": args.monitor_epoch,
+            "slack_threshold": args.slack_threshold,
+        },
     )
-    grid = SweepGrid(
-        services=args.services,
-        app_mixes=tuple(args.apps),
-        policies=args.policies,
-        load_fractions=args.loads,
-        decision_intervals=args.intervals,
-        seeds=args.seeds,
-        base=base,
-    )
-    return _fold_search_flags(ExperimentSpec.from_grid(grid), args)
+    return _fold_search_flags(spec, args)
 
 
 def cmd_submit(args) -> int:

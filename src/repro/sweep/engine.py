@@ -1,10 +1,12 @@
 """The sweep engine: a facade over pluggable execution backends.
 
-``SweepEngine.run`` takes a :class:`~repro.sweep.grid.SweepGrid` (or any
-iterable of scenarios), satisfies what it can from the result cache,
-hands the misses to an :class:`~repro.sweep.backends.ExecutionBackend`
-(inline, local process pool, or a distributed broker/worker queue), and
-returns outcomes in grid order.  Scenario results are a pure function of
+``SweepEngine.run`` takes the scenarios an
+:class:`~repro.experiment.ExperimentSpec` expands to (through
+:func:`~repro.experiment.run_experiment`), satisfies what it can from the
+result cache, hands the misses to an
+:class:`~repro.sweep.backends.ExecutionBackend` (inline, local process
+pool, or a distributed broker/worker queue), and returns outcomes in
+scenario order.  Scenario results are a pure function of
 the scenario config — every random stream inside a run derives from the
 scenario's own seed via :mod:`repro.rng` — so every backend produces
 bit-identical results and caching is sound.
@@ -28,7 +30,7 @@ from repro.core.policy import PliantPolicy, RuntimePolicy
 from repro.core.runtime import ColocationResult
 from repro.sweep.backends import ExecutionBackend, ProcessBackend, SerialBackend
 from repro.sweep.cache import SweepCache
-from repro.sweep.grid import Scenario, SweepGrid
+from repro.sweep.grid import Scenario
 
 #: Builders from (scenario, kwargs) to a policy instance.  Keyed by the
 #: policy's display name so ``Scenario.policy`` round-trips through
@@ -95,8 +97,9 @@ def make_policy(scenario: Scenario) -> RuntimePolicy:
 
 def run_scenario(scenario: Scenario) -> ColocationResult:
     """Run one scenario to completion (used directly by worker processes)."""
-    # Imported lazily: repro.cluster re-exports sweep helpers that import
-    # this module, so a top-level import would be circular.
+    # Resolved at call time, not bound at import: a wrapper installed on
+    # ``repro.cluster.colocation.build_engine`` (profiling, tests) must
+    # see every scenario this function builds.
     from repro.cluster.colocation import build_engine
 
     engine = build_engine(
@@ -175,7 +178,7 @@ class SweepOutcome:
 
 
 class SweepEngine:
-    """Facade: cache probing + an execution backend, in grid order.
+    """Facade: cache probing + an execution backend, in scenario order.
 
     Parameters
     ----------
@@ -231,15 +234,15 @@ class SweepEngine:
 
     def run(
         self,
-        grid: SweepGrid | Iterable[Scenario],
+        scenarios: Iterable[Scenario],
         force: bool = False,
     ) -> list[SweepOutcome]:
-        """Evaluate every scenario; outcomes come back in grid order.
+        """Evaluate every scenario; outcomes come back in input order.
 
         ``force`` bypasses cache *reads* (results are still written back),
         which is how benchmarks measure a guaranteed-cold pass.
         """
-        scenarios = list(grid.scenarios() if isinstance(grid, SweepGrid) else grid)
+        scenarios = list(scenarios)
         outcomes: dict[int, SweepOutcome] = {}
         pending: list[tuple[int, Scenario]] = []
         telemetry = get_recorder()
@@ -291,15 +294,3 @@ class SweepEngine:
                     )
 
         return [outcomes[i] for i in range(len(scenarios))]
-
-    def run_results(
-        self,
-        grid: SweepGrid | Iterable[Scenario],
-        force: bool = False,
-    ) -> list[ColocationResult]:
-        """Like :meth:`run`, returning bare results."""
-        return [outcome.result for outcome in self.run(grid, force=force)]
-
-    def run_one(self, scenario: Scenario, force: bool = False) -> ColocationResult:
-        """Evaluate a single scenario through the cache."""
-        return self.run([scenario], force=force)[0].result

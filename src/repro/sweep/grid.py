@@ -1,17 +1,15 @@
-"""Declarative scenario grids.
+"""Scenarios: one sweep coordinate as pure data.
 
 A :class:`Scenario` is one fully-specified colocation experiment — enough
 information to rebuild the engine from scratch inside a worker process
 (everything is plain strings/numbers, so scenarios pickle cheaply and
-hash stably).  A :class:`SweepGrid` is the cross product of axis values
-(services x app mixes x policies x loads x decision intervals x seeds)
-expanded in a deterministic order.
+hash stably).  Sweeps over many scenarios are declared with
+:class:`repro.experiment.ExperimentSpec`.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.core.runtime import ColocationConfig
 from repro.services.loadgen import LOADGEN_SHAPES
@@ -52,6 +50,14 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
     return value
+
+
+def _pairs(value) -> tuple[tuple[object, object], ...]:
+    return tuple((key, item) for key, item in value)
+
+
+#: Marks a :meth:`Scenario.from_payload` field that has no default.
+_REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -178,33 +184,54 @@ class Scenario:
         error, not a silent drop — a spec naming an axis we can't honor
         must fail loudly, never run the wrong experiment.  Keys the
         payload *omits* keep their defaults, so pre-axis payloads load.
+        Payloads arrive from outside the program (spool job files, TCP
+        submits, spec files), so every malformed one — missing or
+        mistyped fields included — raises a ``ValueError`` naming the
+        field.
         """
+        if not isinstance(payload, dict):
+            raise ValueError(
+                f"scenario payload must be an object, "
+                f"got {type(payload).__name__}"
+            )
         unknown = set(payload) - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(
                 f"unknown scenario field(s): {sorted(unknown)} "
                 f"(known: {', '.join(sorted(_SCENARIO_FIELDS))})"
             )
+
+        def field(name: str, coerce=None, default=_REQUIRED):
+            if name not in payload:
+                if default is _REQUIRED:
+                    raise ValueError(
+                        f"scenario payload lacks required field {name!r}"
+                    )
+                return default
+            value = payload[name]
+            try:
+                return value if coerce is None else coerce(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"scenario field {name!r} is malformed ({value!r}): {exc}"
+                ) from None
+
         return cls(
-            service=payload["service"],
-            apps=tuple(payload["apps"]),
-            policy=payload.get("policy", "pliant"),
-            policy_kwargs=tuple(
-                (k, v) for k, v in payload.get("policy_kwargs", ())
-            ),
-            load_fraction=float(payload.get("load_fraction", 0.775)),
-            decision_interval=float(payload.get("decision_interval", 1.0)),
-            monitor_epoch=float(payload.get("monitor_epoch", 0.1)),
-            slack_threshold=float(payload.get("slack_threshold", 0.10)),
-            horizon=float(payload.get("horizon", 400.0)),
-            seed=int(payload.get("seed", 0)),
-            stop_when_apps_done=bool(payload.get("stop_when_apps_done", True)),
-            exploration_seed=int(payload.get("exploration_seed", 0)),
-            loadgen_shape=payload.get("loadgen_shape", "constant"),
-            loadgen_params=tuple(
-                (k, v) for k, v in payload.get("loadgen_params", ())
-            ),
-            platform=payload.get("platform", "default"),
+            service=field("service"),
+            apps=field("apps", tuple),
+            policy=field("policy", default="pliant"),
+            policy_kwargs=field("policy_kwargs", _pairs, ()),
+            load_fraction=field("load_fraction", float, 0.775),
+            decision_interval=field("decision_interval", float, 1.0),
+            monitor_epoch=field("monitor_epoch", float, 0.1),
+            slack_threshold=field("slack_threshold", float, 0.10),
+            horizon=field("horizon", float, 400.0),
+            seed=field("seed", int, 0),
+            stop_when_apps_done=field("stop_when_apps_done", bool, True),
+            exploration_seed=field("exploration_seed", int, 0),
+            loadgen_shape=field("loadgen_shape", default="constant"),
+            loadgen_params=field("loadgen_params", _pairs, ()),
+            platform=field("platform", default="default"),
         )
 
     def label(self) -> str:
@@ -229,76 +256,3 @@ _SCENARIO_FIELDS = frozenset(f.name for f in fields(Scenario))
 def scenario_field_names() -> frozenset[str]:
     """Names of every Scenario field (the open axis vocabulary)."""
     return _SCENARIO_FIELDS
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Cross product of scenario axes, expanded deterministically.
-
-    Axis order in the expansion is (service, app mix, policy, load,
-    decision interval, seed) — the slowest-varying axis first, so related
-    scenarios are adjacent and cache/file locality follows the grid.
-    """
-
-    services: tuple[str, ...]
-    app_mixes: tuple[tuple[str, ...], ...]
-    policies: tuple[str, ...] = ("pliant",)
-    load_fractions: tuple[float, ...] = (0.775,)
-    decision_intervals: tuple[float, ...] = (1.0,)
-    seeds: tuple[int, ...] = (0,)
-    base: Scenario | None = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.services, str):
-            object.__setattr__(self, "services", (self.services,))
-        object.__setattr__(
-            self,
-            "app_mixes",
-            tuple(_normalize_mix(mix) for mix in self.app_mixes),
-        )
-        if not self.services or not self.app_mixes:
-            raise ValueError("grid needs at least one service and one app mix")
-        if not self.policies or not self.load_fractions:
-            raise ValueError("grid needs at least one policy and one load")
-        if not self.decision_intervals or not self.seeds:
-            raise ValueError("grid needs at least one interval and one seed")
-
-    def __len__(self) -> int:
-        return (
-            len(self.services)
-            * len(self.app_mixes)
-            * len(self.policies)
-            * len(self.load_fractions)
-            * len(self.decision_intervals)
-            * len(self.seeds)
-        )
-
-    def scenarios(self) -> list[Scenario]:
-        """Expand the grid into scenarios (stable, documented order)."""
-        template = self.base or Scenario(
-            service=self.services[0], apps=self.app_mixes[0]
-        )
-        out = []
-        for service, mix, policy, load, interval, seed in itertools.product(
-            self.services,
-            self.app_mixes,
-            self.policies,
-            self.load_fractions,
-            self.decision_intervals,
-            self.seeds,
-        ):
-            out.append(
-                replace(
-                    template,
-                    service=service,
-                    apps=mix,
-                    policy=policy,
-                    load_fraction=float(load),
-                    decision_interval=float(interval),
-                    seed=int(seed),
-                )
-            )
-        return out
-
-    def __iter__(self):
-        return iter(self.scenarios())

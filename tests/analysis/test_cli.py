@@ -102,7 +102,6 @@ def test_list_rules(capsys):
         "lease-clock",
         "lock-discipline",
         "serialization-safety",
-        "no-deprecated-imports",
         "transitive-wallclock",
         "transitive-rng",
         "lock-order",

@@ -43,7 +43,7 @@ class TestFixtureContract:
             "bad_lease_clock.py",
             "bad_locks.py",
             "bad_serialization.py",
-            "bad_imports.py",
+            "bad_telemetry.py",
         } <= names
         assert len([n for n in names if n.startswith("good_")]) >= 6
 
@@ -157,20 +157,6 @@ class TestSerializationSafety:
             assert [f.rule for f in findings] == ["serialization-safety"], zone
 
 
-class TestDeprecatedImports:
-    def test_flags_every_import_form(self):
-        findings = analyze_fixture("deterministic", "bad_imports.py")
-        assert rule_ids(findings) == {"no-deprecated-imports"}
-        assert len(findings) == 3
-
-    def test_shim_package_is_exempt(self):
-        source = "from repro.search import frontier\nimport repro.exploration\n"
-        findings = analyze_source(
-            source, "src/repro/exploration/__init__.py"
-        )
-        assert findings == []
-
-
 class TestPragmas:
     def test_same_line_pragma_waives(self):
         source = (
@@ -281,7 +267,7 @@ class TestRegistry:
             "lease-clock",
             "lock-discipline",
             "serialization-safety",
-            "no-deprecated-imports",
+            "telemetry-side-channel",
         }
         assert len(registered_rules()) >= 6
 

@@ -1,138 +1,100 @@
-"""Sweep helpers: load and decision-interval sweeps."""
+"""Load and decision-interval sweeps as one-axis specs; outcome breakdowns."""
 
 import pytest
 
-from repro.cluster.sweeps import OutcomeBreakdown, interval_sweep, load_sweep
-from repro.core.runtime import ColocationConfig
+from repro.cluster.sweeps import OutcomeBreakdown
+from repro.experiment import ExperimentSpec, run_experiment
+from repro.sweep import SweepCache, SweepEngine, register_policy
+from repro.sweep.engine import POLICY_REGISTRY
+
+
+def _sweep(axis: str, values, **base) -> ExperimentSpec:
+    """A Fig. 8/9-style sweep: mongodb + kmeans, seed 4, one axis."""
+    return ExperimentSpec(
+        base={"service": "mongodb", "apps": "kmeans", "seed": 4, **base},
+        axes={axis: values},
+    )
+
+
+@pytest.fixture
+def restore_registry():
+    before = dict(POLICY_REGISTRY)
+    yield
+    POLICY_REGISTRY.clear()
+    POLICY_REGISTRY.update(before)
 
 
 class TestLoadSweep:
     def test_points_cover_requested_loads(self):
-        points = load_sweep(
-            "mongodb",
-            ("kmeans",),
-            load_fractions=(0.4, 0.8),
-            base_config=ColocationConfig(seed=4),
-        )
-        assert [p.value for p in points] == [0.4, 0.8]
+        results = run_experiment(_sweep("load_fraction", (0.4, 0.8)), workers=1)
+        assert [s.load_fraction for s in results.scenarios] == [0.4, 0.8]
 
     def test_latency_grows_with_load(self):
-        points = load_sweep(
-            "mongodb",
-            ("kmeans",),
-            load_fractions=(0.4, 0.95),
-            base_config=ColocationConfig(seed=4),
-        )
-        assert points[0].result.qos_ratio < points[1].result.qos_ratio
+        results = run_experiment(_sweep("load_fraction", (0.4, 0.95)), workers=1)
+        low, high = results.results
+        assert low.qos_ratio < high.qos_ratio
 
-    def test_custom_policy_factory(self):
-        # Deprecated path: the factory is routed through register_policy
-        # so it still runs through the engine (fan-out, seeding, caching).
+    def test_custom_policy_factory(self, restore_registry):
+        # A registered builder is how a custom policy joins a sweep.
         from repro.core import PrecisePolicy
 
-        with pytest.warns(DeprecationWarning, match="register_policy"):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4),
-            )
-        assert points[0].result.policy_name == "precise"
+        register_policy("test-precise", lambda sc, kw: PrecisePolicy())
+        results = run_experiment(
+            _sweep("load_fraction", (0.5,), policy="test-precise"), workers=1
+        )
+        assert results[0].result.policy_name == "precise"
 
     def test_configured_policy_factory_arguments_respected(self):
-        # A factory may close over constructor arguments the declarative
-        # registry path cannot reconstruct; they must take effect.
-        from repro.core import StaticLevelPolicy
+        # Constructor arguments travel as policy_kwargs and must take effect.
+        spec = _sweep(
+            "load_fraction",
+            (0.5,),
+            policy="static-level",
+            policy_kwargs={"levels": [["kmeans", 0]]},
+            horizon=30.0,
+        )
+        (outcome,) = run_experiment(spec, workers=1)
+        assert outcome.result.policy_name == "static-level"
+        assert {level for _, level in outcome.result.apps[0].level_trace} <= {0}
 
-        with pytest.warns(DeprecationWarning):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=lambda: StaticLevelPolicy({"kmeans": 0}),
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-            )
-        assert points[0].result.policy_name == "static-level"
-
-    def test_factory_rejected_on_distributed_backend(self, tmp_path):
-        # The transient registration can't reach remote workers; failing
-        # at submit time beats a fleet of "unknown policy" job failures.
+    def test_factory_sweep_runs_through_the_engine(
+        self, tmp_path, restore_registry
+    ):
+        # Registered policies are cached like any other sweep.
         from repro.core import PrecisePolicy
-        from repro.sweep import DistributedBackend
 
-        with pytest.raises(ValueError, match="distributed"):
-            load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5,),
-                policy_factory=PrecisePolicy,
-                backend=DistributedBackend(tmp_path / "spool"),
-            )
-
-    def test_factory_sweep_runs_through_the_engine(self, tmp_path):
-        # The deprecated factory path must no longer bypass the engine:
-        # results land in the cache like any other sweep.
-        from repro.core import PrecisePolicy
-        from repro.sweep import SweepCache, SweepEngine
-
+        register_policy("test-precise", lambda sc, kw: PrecisePolicy())
         engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
-        with pytest.warns(DeprecationWarning):
-            points = load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5, 0.7),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-                engine=engine,
-            )
-        assert len(points) == 2
+        spec = _sweep(
+            "load_fraction", (0.5, 0.7), policy="test-precise", horizon=30.0
+        )
+        assert len(run_experiment(spec, engine=engine)) == 2
         assert engine.cache.misses == 2
-        with pytest.warns(DeprecationWarning):
-            load_sweep(
-                "mongodb",
-                ("kmeans",),
-                load_fractions=(0.5, 0.7),
-                policy_factory=PrecisePolicy,
-                base_config=ColocationConfig(seed=4, horizon=30.0),
-                engine=engine,
-            )
+        run_experiment(spec, engine=engine)
         assert engine.cache.hits == 2
 
     def test_engine_with_cache_memoizes_points(self, tmp_path):
-        from repro.sweep import SweepCache, SweepEngine
-
         engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
-        kwargs = dict(
-            load_fractions=(0.5, 0.7),
-            base_config=ColocationConfig(seed=4, horizon=30.0),
-            engine=engine,
-        )
-        load_sweep("mongodb", ("kmeans",), **kwargs)
+        spec = _sweep("load_fraction", (0.5, 0.7), horizon=30.0)
+        run_experiment(spec, engine=engine)
         assert engine.cache.misses == 2
-        load_sweep("mongodb", ("kmeans",), **kwargs)
+        run_experiment(spec, engine=engine)
         assert engine.cache.hits == 2
 
 
 class TestIntervalSweep:
     def test_points_cover_intervals(self):
-        points = interval_sweep(
-            "mongodb",
-            ("kmeans",),
-            intervals=(0.5, 2.0),
-            base_config=ColocationConfig(seed=4),
+        results = run_experiment(
+            _sweep("decision_interval", (0.5, 2.0)), workers=1
         )
-        assert [p.value for p in points] == [0.5, 2.0]
+        assert [s.decision_interval for s in results.scenarios] == [0.5, 2.0]
 
     def test_finer_interval_more_decisions(self):
-        points = interval_sweep(
-            "mongodb",
-            ("kmeans",),
-            intervals=(0.5, 2.0),
-            base_config=ColocationConfig(seed=4),
+        results = run_experiment(
+            _sweep("decision_interval", (0.5, 2.0)), workers=1
         )
-        fine, coarse = points
-        assert len(fine.result.intervals) > len(coarse.result.intervals)
+        fine, coarse = results.results
+        assert len(fine.intervals) > len(coarse.intervals)
 
 
 class TestOutcomeBreakdown:

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.experiment import ExperimentSpec
 from repro.sweep import Scenario, SweepCache, stable_hash
 
 RICH = Scenario(
@@ -24,6 +25,9 @@ RICH = Scenario(
     platform="half-llc",
     slack_threshold=0.07,
 )
+
+#: The smallest valid payload: every other field takes its default.
+MINIMAL = {"service": "nginx", "apps": ["kmeans"]}
 
 
 class TestRoundTrip:
@@ -68,6 +72,34 @@ class TestRoundTrip:
         scenario = Scenario.from_payload(legacy)
         assert scenario.has_default_loadgen()
         assert scenario.platform == "default"
+
+    @pytest.mark.parametrize(
+        "kind,payload,field",
+        [
+            ("scenario", {}, "service"),
+            ("scenario", {"service": "nginx"}, "apps"),
+            ("scenario", {"service": "nginx", "apps": 5}, "apps"),
+            ("scenario", {**MINIMAL, "policy_kwargs": [1]}, "policy_kwargs"),
+            ("scenario", {**MINIMAL, "load_fraction": None}, "load_fraction"),
+            ("scenario", {**MINIMAL, "seed": "two"}, "seed"),
+            ("scenario", {**MINIMAL, "loadgen_params": 3}, "loadgen_params"),
+            ("scenario", ["nginx"], "object"),
+            ("spec", {"axes": 3}, "axes"),
+            ("spec", {"axes": [["seed", 3]]}, "axes"),
+            ("spec", {"base": 3}, "base"),
+            ("spec", {"objective": 3}, "objective"),
+            ("spec", {"rng_seed": None}, "rng_seed"),
+        ],
+    )
+    def test_malformed_payload_names_the_field(self, kind, payload, field):
+        # Payloads come from spool job files, TCP submits and spec files:
+        # garbage must be a ValueError naming the field, never a
+        # KeyError/TypeError from deep inside a constructor.
+        with pytest.raises(ValueError, match=field):
+            if kind == "scenario":
+                Scenario.from_payload(payload)
+            else:
+                ExperimentSpec.from_json(json.dumps(payload))
 
     def test_unknown_loadgen_shape_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown loadgen shape"):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.experiment import ExperimentSpec
 from repro.sweep import (
     DistributedBackend,
     JobSpool,
@@ -13,7 +14,6 @@ from repro.sweep import (
     SerialBackend,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     backend_from_env,
     results_identical,
     run_scenario,
@@ -24,14 +24,11 @@ from repro.sweep import (
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
 
 
-def _grid(loads=(0.5, 0.8), seeds=(4, 5)) -> SweepGrid:
-    return SweepGrid(
-        services=("mongodb",),
-        app_mixes=(("kmeans",),),
-        load_fractions=loads,
-        seeds=seeds,
-        base=BASE,
-    )
+def _scenarios(loads=(0.5, 0.8), seeds=(4, 5)) -> list[Scenario]:
+    spec = ExperimentSpec(base=BASE.to_payload())
+    return (
+        spec.with_axis("load_fraction", loads).with_axis("seed", seeds)
+    ).scenarios()
 
 
 class TestScenarioPayloadRoundTrip:
@@ -60,10 +57,10 @@ class TestScenarioPayloadRoundTrip:
 
 class TestLocalBackends:
     def test_serial_matches_process(self):
-        grid = _grid()
-        serial = SerialBackend().execute(grid.scenarios())
-        parallel = ProcessBackend(2).execute(grid.scenarios())
-        assert len(serial) == len(parallel) == len(grid)
+        scenarios = _scenarios()
+        serial = SerialBackend().execute(scenarios)
+        parallel = ProcessBackend(2).execute(scenarios)
+        assert len(serial) == len(parallel) == len(scenarios)
         for (a, _), (b, _) in zip(serial, parallel):
             assert results_identical(a, b)
 
@@ -257,7 +254,7 @@ class TestWorkerFaultTolerance:
     def test_worker_drains_spool_and_publishes_to_cache(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         cache = SweepCache(tmp_path / "cache")
-        scenarios = _grid().scenarios()
+        scenarios = _scenarios()
         for scenario in scenarios:
             spool.submit(scenario)
         executed = run_worker(spool, cache=cache, exit_when_idle=True)
@@ -268,7 +265,7 @@ class TestWorkerFaultTolerance:
     def test_max_jobs_bounds_a_worker(self, tmp_path):
         spool = JobSpool(tmp_path / "spool")
         cache = SweepCache(tmp_path / "cache")
-        for scenario in _grid().scenarios():
+        for scenario in _scenarios():
             spool.submit(scenario)
         assert run_worker(spool, cache=cache, max_jobs=1) == 1
         assert spool.status().done == 1
@@ -335,17 +332,17 @@ class TestDistributedBackend:
     def test_backends_bit_identical_on_grid(self, tmp_path):
         """Serial, process, and distributed (2 real worker processes)
         produce the same ColocationResults, bit for bit."""
-        grid = _grid()
-        serial = SweepEngine(backend=SerialBackend()).run(grid)
-        process = SweepEngine(backend=ProcessBackend(2)).run(grid)
+        scenarios = _scenarios()
+        serial = SweepEngine(backend=SerialBackend()).run(scenarios)
+        process = SweepEngine(backend=ProcessBackend(2)).run(scenarios)
         cache = SweepCache(tmp_path / "cache")
         distributed = SweepEngine(
             cache=cache,
             backend=DistributedBackend(
                 tmp_path / "spool", cache=cache, timeout=300.0, local_workers=2
             ),
-        ).run(grid)
-        assert len(serial) == len(process) == len(distributed) == len(grid)
+        ).run(scenarios)
+        assert len(serial) == len(process) == len(distributed) == len(scenarios)
         for a, b, c in zip(serial, process, distributed):
             assert results_identical(a.result, b.result)
             assert results_identical(a.result, c.result)
@@ -355,13 +352,13 @@ class TestDistributedBackend:
         cache = SweepCache(tmp_path / "cache")
         spool_root = tmp_path / "spool"
         spool = JobSpool(spool_root)
-        for scenario in _grid().scenarios():
+        for scenario in _scenarios():
             spool.submit(scenario)
         run_worker(spool, cache=cache, exit_when_idle=True)
         warm = SweepEngine(
             cache=cache,
             backend=DistributedBackend(spool_root, cache=cache, timeout=60.0),
-        ).run(_grid())
+        ).run(_scenarios())
         assert all(outcome.from_cache for outcome in warm)
 
     def test_engine_skips_redundant_write_back(self, tmp_path):

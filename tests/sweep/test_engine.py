@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.policy import PliantPolicy
+from repro.experiment import ExperimentSpec
 from repro.sweep import (
     Scenario,
     SweepCache,
     SweepEngine,
-    SweepGrid,
     register_policy,
     registered_policies,
     results_identical,
@@ -19,14 +19,9 @@ from repro.sweep.engine import POLICY_REGISTRY, make_policy
 BASE = Scenario(service="mongodb", apps=("kmeans",), horizon=60.0, seed=4)
 
 
-def _grid(loads=(0.5, 0.8)) -> SweepGrid:
-    return SweepGrid(
-        services=("mongodb",),
-        app_mixes=(("kmeans",),),
-        load_fractions=loads,
-        seeds=(4,),
-        base=BASE,
-    )
+def _scenarios(loads=(0.5, 0.8)) -> list[Scenario]:
+    spec = ExperimentSpec(base=BASE.to_payload())
+    return spec.with_axis("load_fraction", loads).scenarios()
 
 
 class TestPolicyRegistry:
@@ -132,31 +127,31 @@ class TestDeterminism:
         assert not results_identical(a, b)
 
     def test_serial_vs_parallel_bit_identical(self):
-        serial = SweepEngine(workers=1).run(_grid())
-        parallel = SweepEngine(workers=2).run(_grid())
+        serial = SweepEngine(workers=1).run(_scenarios())
+        parallel = SweepEngine(workers=2).run(_scenarios())
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             assert a.scenario == b.scenario
             assert results_identical(a.result, b.result)
 
     def test_outcomes_in_grid_order(self):
-        outcomes = SweepEngine(workers=2).run(_grid(loads=(0.8, 0.5, 0.6)))
+        outcomes = SweepEngine(workers=2).run(_scenarios(loads=(0.8, 0.5, 0.6)))
         assert [o.scenario.load_fraction for o in outcomes] == [0.8, 0.5, 0.6]
 
 
 class TestMemoization:
     def test_cold_then_warm(self, tmp_path):
         engine = SweepEngine(workers=1, cache=SweepCache(tmp_path))
-        cold = engine.run(_grid())
-        warm = engine.run(_grid())
+        cold = engine.run(_scenarios())
+        warm = engine.run(_scenarios())
         assert all(not o.from_cache for o in cold)
         assert all(o.from_cache for o in warm)
         for a, b in zip(cold, warm):
             assert results_identical(a.result, b.result)
 
     def test_cache_shared_across_engines(self, tmp_path):
-        SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(_grid())
-        warm = SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(_grid())
+        SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(_scenarios())
+        warm = SweepEngine(workers=1, cache=SweepCache(tmp_path)).run(_scenarios())
         assert all(o.from_cache for o in warm)
 
     def test_config_change_misses(self, tmp_path):
@@ -194,15 +189,6 @@ class TestMemoization:
 
 
 class TestApi:
-    def test_run_results_returns_bare_results(self):
-        results = SweepEngine(workers=1).run_results(_grid(loads=(0.5,)))
-        assert len(results) == 1
-        assert results[0].service_name == "mongodb"
-
-    def test_run_one(self):
-        result = SweepEngine(workers=1).run_one(BASE)
-        assert result.policy_name == "pliant"
-
     def test_effective_workers_bounded_by_pending(self):
         engine = SweepEngine(workers=8)
         assert engine.effective_workers(pending=3) == 3
