@@ -67,12 +67,12 @@ lint-fixtures:
 		fi; \
 	done
 	@for d in tests/analysis/fixtures/project/bad_*/; do \
-		if $(PY) -m repro.analysis --no-baseline --no-cache --root $$d $$d >/dev/null; then \
+		if $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
 			echo "lint-fixtures: $$d unexpectedly passed"; exit 1; \
 		fi; \
 	done
 	@for d in tests/analysis/fixtures/project/good_*/; do \
-		if ! $(PY) -m repro.analysis --no-baseline --no-cache --root $$d $$d >/dev/null; then \
+		if ! $(PY) -m repro.analysis --no-baseline --root $$d $$d >/dev/null; then \
 			echo "lint-fixtures: $$d unexpectedly failed"; exit 1; \
 		fi; \
 	done

@@ -23,12 +23,9 @@ Architecture
   :mod:`~repro.analysis.dataflow` — the interprocedural layer: per-file
   module summaries, the registry-aware project call graph, and the
   taint / lock-order analyses over it.
-* :mod:`repro.analysis.engine` — one parse per file, zone-matched rule
-  dispatch, statement-span ``# repro-lint: ignore[rule] -- reason``
-  pragmas, and the project pass.
-* :mod:`repro.analysis.incremental` — the content-hash result cache
-  that makes warm runs re-analyze only changed files and their
-  reverse-dependency cone (``REPRO_LINT_CACHE``).
+* :mod:`repro.analysis.engine` — one cold pass: one parse per file,
+  zone-matched rule dispatch, statement-span
+  ``# repro-lint: ignore[rule] -- reason`` pragmas, and the project pass.
 * :mod:`repro.analysis.baseline` — the committed, justification-carrying
   baseline of grandfathered findings; entries expire when fixed.
 * :mod:`repro.analysis.sarif` — findings as SARIF 2.1.0 for GitHub code
@@ -48,7 +45,6 @@ from repro.analysis.engine import (
     iter_python_files,
 )
 from repro.analysis.findings import Finding, fingerprinted
-from repro.analysis.incremental import AnalysisCache, resolve_cache
 from repro.analysis.registry import (
     PROJECT_RULE_REGISTRY,
     RULE_REGISTRY,
@@ -73,7 +69,6 @@ from repro.analysis.zones import ZONE_MAP, Zone, zone_for
 from repro.analysis import rules as _builtin_rules  # noqa: F401  (registration)
 
 __all__ = [
-    "AnalysisCache",
     "AnalysisReport",
     "Baseline",
     "BaselineEntry",
@@ -100,7 +95,6 @@ __all__ = [
     "module_name",
     "register_rule",
     "registered_rules",
-    "resolve_cache",
     "summarize_module",
     "to_sarif",
     "zone_for",

@@ -238,8 +238,4 @@ class ProjectContext:
 
     table: SymbolTable
     graph: CallGraph
-    #: relpaths restricted by the incremental engine this run, or None
-    #: when the whole project was (re)analyzed.  Rules may use this to
-    #: skip work, never to widen it.
-    affected: frozenset[str] | None = None
     _extra: dict = field(default_factory=dict)

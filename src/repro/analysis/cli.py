@@ -34,14 +34,14 @@ from pathlib import Path
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import build_lock_graph, lock_graph_dot
-from repro.analysis.engine import analyze_paths, iter_python_files
-from repro.analysis.incremental import AnalysisCache, resolve_cache
+from repro.analysis.engine import ParsedFile, analyze_paths, parse_files
 from repro.analysis.registry import (
     PROJECT_RULE_REGISTRY,
     RULE_REGISTRY,
     registered_rules,
 )
 from repro.analysis.sarif import to_sarif
+from repro.analysis.symbols import SymbolTable
 from repro.analysis.zones import Zone, zone_for
 
 __all__ = ["build_parser", "main"]
@@ -121,21 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base directory for reported paths (default: cwd)",
     )
     parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="DIR",
-        default=None,
-        help=(
-            "incremental-cache directory (default: <root>/.repro-lint-cache, "
-            "or $REPRO_LINT_CACHE; set REPRO_LINT_CACHE=off to disable)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
@@ -171,34 +156,11 @@ def _print_rules(out) -> None:
 
 def _dump_graph(kind: str, paths, root, zone, out) -> int:
     """Summarize the project and print a GraphViz graph (no linting)."""
-    import ast
-
-    from repro.analysis.engine import build_waivers
-    from repro.analysis.symbols import SymbolTable, summarize_module
-
-    root = Path(root) if root is not None else Path.cwd()
-    summaries = []
-    for path in iter_python_files(paths):
-        try:
-            relpath = path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            relpath = path.as_posix()
-        source = path.read_text(encoding="utf-8")
-        lines = tuple(source.splitlines())
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            continue
-        summaries.append(
-            summarize_module(
-                tree,
-                relpath,
-                lines,
-                zone=zone,
-                waivers=build_waivers(tree, lines),
-            )
-        )
-    table = SymbolTable(summaries)
+    table = SymbolTable(
+        parsed.summary
+        for parsed in parse_files(paths, root, zone)
+        if isinstance(parsed, ParsedFile)
+    )
     graph = CallGraph.build(table)
     if kind == "lock-dot":
         print(lock_graph_dot(build_lock_graph(table, graph)), end="", file=out)
@@ -227,14 +189,8 @@ def main(argv=None) -> int:
     zone = Zone(args.zone) if args.zone else None
     if args.graph is not None:
         return _dump_graph(args.graph, paths, args.root, zone, out)
-    if args.no_cache:
-        cache = None
-    elif args.cache is not None:
-        cache = AnalysisCache(args.cache)
-    else:
-        cache = resolve_cache(args.root or Path.cwd())
     started = time.monotonic()
-    report = analyze_paths(paths, root=args.root, zone=zone, cache=cache)
+    report = analyze_paths(paths, root=args.root, zone=zone)
     elapsed = time.monotonic() - started
 
     baseline_path = args.baseline or Path(DEFAULT_BASELINE_NAME)
@@ -280,8 +236,6 @@ def main(argv=None) -> int:
             "expired": [entry.to_payload() for entry in expired],
             "files_scanned": report.files_scanned,
             "suppressed": report.suppressed,
-            "cache_hits": report.cache_hits,
-            "cache_misses": report.cache_misses,
             "wall_time_s": round(elapsed, 3),
             "rules": list(registered_rules()),
             "ok": not failed,
@@ -303,16 +257,11 @@ def main(argv=None) -> int:
             file=out,
         )
     status = "FAILED" if failed else "ok"
-    cache_note = (
-        f", cache {report.cache_hits} hit(s)/{report.cache_misses} miss(es)"
-        if cache is not None
-        else ""
-    )
     print(
         f"repro-lint: {status} — {len(new)} new finding(s), "
         f"{len(waived)} baselined, {len(expired)} expired entr(y/ies), "
         f"{report.suppressed} pragma-waived, {report.files_scanned} "
-        f"file(s) scanned in {elapsed:.2f}s{cache_note}",
+        f"file(s) scanned in {elapsed:.2f}s",
         file=out,
     )
     return 1 if failed else 0

@@ -106,19 +106,12 @@ class ProjectRule(ABC):
     table and call graph — and yields findings that may span files (via
     ``Finding.chain``).  Project rules run once per analysis pass, after
     every file has been summarized.
-
-    ``incremental`` declares whether a warm run may carry this rule's
-    findings forward for files outside the changed set's dependency
-    cone; rules whose findings depend on genuinely global structure
-    (lock cycles) set it ``False`` and are recomputed every pass.
     """
 
     #: Stable identifier used in reports, pragmas, and baseline entries.
     id: str = "abstract"
     #: One-line description shown by ``--list-rules``.
     summary: str = ""
-    #: Whether cached findings may be carried across warm runs.
-    incremental: bool = True
 
     @abstractmethod
     def check(self, ctx) -> Iterator[Finding]:

@@ -30,9 +30,6 @@ class LockOrderRule(ProjectRule):
         "lock acquisitions must form a consistent global order: a cycle "
         "in the held->acquired graph is a potential deadlock"
     )
-    # A cycle is a property of the whole graph; carrying per-file results
-    # across warm runs could mask an edge added elsewhere.
-    incremental = False
 
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
         lock_graph = ctx._extra.get("lock_graph")

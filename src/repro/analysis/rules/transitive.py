@@ -25,8 +25,6 @@ __all__ = ["TransitiveRngRule", "TransitiveWallclockRule"]
 class _TaintRule(ProjectRule):
     """Shared engine: one subclass per taint flavor filters by rule id."""
 
-    incremental = True
-
     def check(self, ctx: ProjectContext) -> Iterator[Finding]:
         taint = ctx._extra.get("taint")
         if taint is None:

@@ -4,10 +4,8 @@ One parse of one file produces one :class:`ModuleSummary` — every
 function with its outgoing call references, nondeterminism sources, lock
 acquisitions (with the locks lexically held at each), registry
 registrations and reads, plus class layouts and payload-schema facts.
-Summaries are plain data (JSON-round-trippable via ``to_payload`` /
-``from_payload``) precisely so the incremental cache can persist them:
-a warm run rebuilds the project call graph from cached summaries without
-re-parsing a single unchanged file.
+Summaries are plain frozen data, built once per parse and never
+persisted; the project pass reads nothing else about a file.
 
 A :class:`SymbolTable` stitches summaries together and resolves absolute
 dotted names to definitions, following re-export chains (``from x import
@@ -90,23 +88,6 @@ class CallSite:
     line: int
     held: tuple[str, ...] = ()
 
-    def to_payload(self) -> dict:
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "line": self.line,
-            "held": list(self.held),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "CallSite":
-        return cls(
-            kind=payload["kind"],
-            target=payload["target"],
-            line=payload["line"],
-            held=tuple(payload["held"]),
-        )
-
 
 @dataclass(frozen=True)
 class SourceSite:
@@ -117,23 +98,6 @@ class SourceSite:
     line: int
     detail: str  # why this call is nondeterministic
 
-    def to_payload(self) -> dict:
-        return {
-            "rule": self.rule,
-            "target": self.target,
-            "line": self.line,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SourceSite":
-        return cls(
-            rule=payload["rule"],
-            target=payload["target"],
-            line=payload["line"],
-            detail=payload["detail"],
-        )
-
 
 @dataclass(frozen=True)
 class LockSite:
@@ -142,17 +106,6 @@ class LockSite:
     lock: str  # canonical lock name, e.g. "repro.sweep.backends.tcp.TcpTransport._lock"
     line: int
     held: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {"lock": self.lock, "line": self.line, "held": list(self.held)}
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "LockSite":
-        return cls(
-            lock=payload["lock"],
-            line=payload["line"],
-            held=tuple(payload["held"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -164,25 +117,6 @@ class Registration:
     target_kind: str  # "abs" | "local" | "self" | "opaque"
     target: str
     line: int
-
-    def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "name": self.name,
-            "target_kind": self.target_kind,
-            "target": self.target,
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "Registration":
-        return cls(
-            family=payload["family"],
-            name=payload["name"],
-            target_kind=payload["target_kind"],
-            target=payload["target"],
-            line=payload["line"],
-        )
 
 
 @dataclass(frozen=True)
@@ -197,33 +131,6 @@ class FunctionInfo:
     sources: tuple[SourceSite, ...] = ()
     locks: tuple[LockSite, ...] = ()
     registry_reads: tuple[str, ...] = ()  # registry families dispatched on
-
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "code": self.code,
-            "cls": self.cls,
-            "calls": [c.to_payload() for c in self.calls],
-            "sources": [s.to_payload() for s in self.sources],
-            "locks": [s.to_payload() for s in self.locks],
-            "registry_reads": list(self.registry_reads),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "FunctionInfo":
-        return cls(
-            name=payload["name"],
-            line=payload["line"],
-            code=payload["code"],
-            cls=payload["cls"],
-            calls=tuple(CallSite.from_payload(p) for p in payload["calls"]),
-            sources=tuple(
-                SourceSite.from_payload(p) for p in payload["sources"]
-            ),
-            locks=tuple(LockSite.from_payload(p) for p in payload["locks"]),
-            registry_reads=tuple(payload["registry_reads"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -246,29 +153,6 @@ class ClassInfo:
     fields: tuple[tuple[str, str], ...] = ()  # (name, default or "")
     schema: Mapping[str, dict] = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "code": self.code,
-            "bases": [list(b) for b in self.bases],
-            "methods": list(self.methods),
-            "fields": [list(f) for f in self.fields],
-            "schema": {k: dict(v) for k, v in self.schema.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ClassInfo":
-        return cls(
-            name=payload["name"],
-            line=payload["line"],
-            code=payload["code"],
-            bases=tuple((b[0], b[1]) for b in payload["bases"]),
-            methods=tuple(payload["methods"]),
-            fields=tuple((f[0], f[1]) for f in payload["fields"]),
-            schema={k: dict(v) for k, v in payload["schema"].items()},
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -283,43 +167,6 @@ class ModuleSummary:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     registrations: tuple[Registration, ...] = ()
     imported_modules: tuple[str, ...] = ()
-
-    def to_payload(self) -> dict:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "zone": self.zone,
-            "is_package": self.is_package,
-            "exports": dict(self.exports),
-            "functions": {
-                k: v.to_payload() for k, v in self.functions.items()
-            },
-            "classes": {k: v.to_payload() for k, v in self.classes.items()},
-            "registrations": [r.to_payload() for r in self.registrations],
-            "imported_modules": list(self.imported_modules),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ModuleSummary":
-        return cls(
-            module=payload["module"],
-            relpath=payload["relpath"],
-            zone=payload["zone"],
-            is_package=payload["is_package"],
-            exports=dict(payload["exports"]),
-            functions={
-                k: FunctionInfo.from_payload(v)
-                for k, v in payload["functions"].items()
-            },
-            classes={
-                k: ClassInfo.from_payload(v)
-                for k, v in payload["classes"].items()
-            },
-            registrations=tuple(
-                Registration.from_payload(p) for p in payload["registrations"]
-            ),
-            imported_modules=tuple(payload["imported_modules"]),
-        )
 
 
 def _absolutize(target: str, package: str) -> str:

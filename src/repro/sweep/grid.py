@@ -90,6 +90,11 @@ class Scenario:
         object.__setattr__(self, "apps", _normalize_mix(self.apps))
         if not self.apps:
             raise ValueError("a scenario needs at least one approximate app")
+        if not isinstance(self.stop_when_apps_done, bool):
+            raise ValueError(
+                f"scenario field 'stop_when_apps_done' must be a bool, "
+                f"got {self.stop_when_apps_done!r}"
+            )
         object.__setattr__(
             self, "policy_kwargs", _freeze_pairs(self.policy_kwargs)
         )
@@ -218,7 +223,7 @@ class Scenario:
 
         return cls(
             service=field("service"),
-            apps=field("apps", tuple),
+            apps=field("apps", _normalize_mix),
             policy=field("policy", default="pliant"),
             policy_kwargs=field("policy_kwargs", _pairs, ()),
             load_fraction=field("load_fraction", float, 0.775),
@@ -227,7 +232,7 @@ class Scenario:
             slack_threshold=field("slack_threshold", float, 0.10),
             horizon=field("horizon", float, 400.0),
             seed=field("seed", int, 0),
-            stop_when_apps_done=field("stop_when_apps_done", bool, True),
+            stop_when_apps_done=field("stop_when_apps_done", default=True),
             exploration_seed=field("exploration_seed", int, 0),
             loadgen_shape=field("loadgen_shape", default="constant"),
             loadgen_params=field("loadgen_params", _pairs, ()),

@@ -42,7 +42,6 @@ def test_bad_projects_exit_nonzero(project):
     assert (
         run(
             "--no-baseline",
-            "--no-cache",
             "--root",
             str(project),
             str(project),
@@ -56,7 +55,6 @@ def test_good_projects_exit_zero(project):
     assert (
         run(
             "--no-baseline",
-            "--no-cache",
             "--root",
             str(project),
             str(project),
@@ -114,30 +112,29 @@ def test_list_rules(capsys):
 
 def test_text_output_renders_the_chain(capsys):
     project = FIXTURES / "project" / "bad_taint_chain"
-    run("--no-baseline", "--no-cache", "--root", str(project), str(project))
+    run("--no-baseline", "--root", str(project), str(project))
     out = capsys.readouterr().out
     assert "chain: repro.entry.simulate (repro/entry.py:7) -> " in out
 
 
-def test_json_output_reports_cache_and_timing(tmp_path, capsys):
+def test_json_output_reports_cache_and_timing(capsys):
     project = FIXTURES / "project" / "good_schema"
-    argv = (
-        "--no-baseline",
-        "--cache",
-        str(tmp_path / "cache"),
-        "--format",
-        "json",
-        "--root",
-        str(project),
-        str(project),
-    )
-    assert run(*argv) == 0
-    cold = json.loads(capsys.readouterr().out)
-    assert (cold["cache_hits"], cold["cache_misses"]) == (0, 1)
-    assert cold["wall_time_s"] >= 0
-    assert run(*argv) == 0
-    warm = json.loads(capsys.readouterr().out)
-    assert (warm["cache_hits"], warm["cache_misses"]) == (1, 0)
+    argv = ("--no-baseline", "--format", "json", "--root", str(project))
+    assert run(*argv, str(project)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["wall_time_s"] >= 0
+
+
+def test_lint_leaves_the_linted_tree_untouched(tmp_path, monkeypatch):
+    # Linting is read-only: no cache or state directory appears next to
+    # the code, whether it is the root or the working directory.
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text("import time\nNOW = time.time()\n")
+    before = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
+    run("--no-baseline", "--root", str(tmp_path), str(tmp_path))
+    run("--no-baseline", "--format", "json", str(tmp_path))
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 _DOT_BODY = re.compile(

@@ -88,7 +88,6 @@ class TestSarifCli:
         code = main(
             [
                 "--no-baseline",
-                "--no-cache",
                 "--format",
                 "sarif",
                 "--root",
@@ -108,7 +107,6 @@ class TestSarifCli:
         code = main(
             [
                 "--no-baseline",
-                "--no-cache",
                 "--sarif",
                 str(out),
                 "--root",

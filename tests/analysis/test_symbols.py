@@ -9,7 +9,6 @@ import ast
 
 from repro.analysis.symbols import (
     MODULE_BODY,
-    ModuleSummary,
     SymbolTable,
     module_name,
     summarize_module,
@@ -196,30 +195,6 @@ class TestLocksAndRegistrations:
             "build",
         )
         assert summary.functions["dispatch"].registry_reads == ("policy",)
-
-
-class TestPayloadRoundTrip:
-    def test_summary_survives_to_payload_from_payload(self):
-        summary = summarize(
-            "import threading\n"
-            "import time\n"
-            "from lib.util import helper as h\n"
-            "LOCK = threading.Lock()\n"
-            "class Spec:\n"
-            "    name: str\n"
-            "    def key_payload(self):\n"
-            "        return {'name': self.name}\n"
-            "    def to_payload(self):\n"
-            "        return {'name': self.name}\n"
-            "    def from_payload(self, payload):\n"
-            "        return Spec(payload['name'])\n"
-            "def f():\n"
-            "    with LOCK:\n"
-            "        return h() + time.time()\n",
-            relpath="pkg/mod.py",
-        )
-        clone = ModuleSummary.from_payload(summary.to_payload())
-        assert clone == summary
 
 
 class TestSymbolTableResolve:

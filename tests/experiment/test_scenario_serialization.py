@@ -89,6 +89,12 @@ class TestRoundTrip:
             ("spec", {"base": 3}, "base"),
             ("spec", {"objective": 3}, "objective"),
             ("spec", {"rng_seed": None}, "rng_seed"),
+            (
+                "scenario",
+                {**MINIMAL, "stop_when_apps_done": "false"},
+                "stop_when_apps_done",
+            ),
+            ("scenario", {**MINIMAL, "stop_when_apps_done": 1}, "stop_when_apps_done"),
         ],
     )
     def test_malformed_payload_names_the_field(self, kind, payload, field):
@@ -100,6 +106,20 @@ class TestRoundTrip:
                 Scenario.from_payload(payload)
             else:
                 ExperimentSpec.from_json(json.dumps(payload))
+
+    def test_bare_string_apps_is_a_single_app_mix(self):
+        # The same coercion as the constructor: a string names one app,
+        # it is not a sequence of one-letter app names.
+        scenario = Scenario.from_payload({**MINIMAL, "apps": "canneal"})
+        assert scenario.apps == ("canneal",)
+        assert scenario == Scenario(service="nginx", apps="canneal")
+
+    def test_non_bool_stop_when_apps_done_in_spec_base_rejected(self):
+        spec = ExperimentSpec.from_json(
+            json.dumps({"base": {**MINIMAL, "stop_when_apps_done": "false"}})
+        )
+        with pytest.raises(ValueError, match="stop_when_apps_done"):
+            spec.scenarios()
 
     def test_unknown_loadgen_shape_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown loadgen shape"):
