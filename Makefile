@@ -4,11 +4,17 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-check bench-figs sweep-smoke sweep-smoke-tcp search-smoke lint lint-fixtures
+.PHONY: test claims bench bench-check bench-figs sweep-smoke sweep-smoke-tcp search-smoke lint lint-fixtures
 
 ## Tier-1: fast unit/integration suite (the gate for every PR).
 test:
 	$(PY) -m pytest -x -q
+
+## The paper's headline claims over the full matrix (24 apps x 3 services x
+## {pliant, precise} x seeds 1-5, serial, uncached): QoS restored on every
+## pair, precise always violating, ~2.1% mean and <= 5.5% worst quality loss.
+claims:
+	$(PY) scripts/check_claims.py
 
 ## Sweep-engine benchmark: measures parallel/cached/vectorized speedups and
 ## the distributed-vs-serial gap; appends trajectory entries to

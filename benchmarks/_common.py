@@ -128,27 +128,80 @@ def ladder(app_name: str):
     return ladder_for(app_name, seed=0)
 
 
-def telemetry_summary() -> dict | None:
-    """Fleet-wide telemetry digest for a bench entry (None when off).
+def _digest_figures(snapshot: dict) -> dict[str, float]:
+    """The cumulative figures a bench telemetry digest is built from."""
+    counters = snapshot.get("counters", {})
+    engine = snapshot.get("span_totals", {}).get("sweep.run", {})
+    chunks = snapshot.get("hists", {}).get("worker.chunk_size", {})
+    return {
+        "hits": counters.get("sweep.cache.hit", 0.0),
+        "misses": counters.get("sweep.cache.miss", 0.0),
+        "engine_runs": engine.get("count", 0),
+        "engine_s": engine.get("total_s", 0.0),
+        "chunks": chunks.get("count", 0),
+        "chunk_total": chunks.get("total", 0.0),
+    }
 
-    Pulls the live recorder snapshot plus any worker shards, so a
-    distributed bench reports chunk sizes measured on the actual fleet.
-    """
+
+def _telemetry_marks() -> dict:
+    """Digest figures of the live recorder and of every other shard, now."""
     from repro import telemetry
 
-    if not telemetry.get_recorder().enabled:
+    rec = telemetry.get_recorder()
+    if not rec.enabled:
+        return {}
+    marks = {"live": _digest_figures(rec.snapshot())}
+    for path in sorted(telemetry.default_dir().glob("shard-*.jsonl")):
+        shard = telemetry.read_shard(path)
+        if shard is None:
+            continue
+        meta = shard["meta"]
+        if meta.get("pid") == rec.pid and meta.get("process") == rec.process:
+            continue  # this process's own flush; counted via the live snapshot
+        marks[path] = _digest_figures(meta)
+    return marks
+
+
+#: The figures when the current benchmark's telemetry window opened (each
+#: benchmark test opens one, see ``benchmarks/conftest.py``, and every
+#: :func:`record_bench` opens the next).
+_window = _telemetry_marks()
+
+
+def open_telemetry_window() -> None:
+    """Start counting telemetry afresh for the next :func:`record_bench`."""
+    global _window
+    _window = _telemetry_marks()
+
+
+def telemetry_summary() -> dict | None:
+    """Telemetry digest of the current benchmark (None when off).
+
+    Counts only what was recorded since the window opened: the live
+    recorder and every worker shard in the telemetry directory, each
+    minus its figures at the window's start.  All figures are cumulative
+    (counters, histogram and span counts and totals), so a shard untouched
+    since then contributes nothing and earlier benchmarks never leak in.
+    """
+    marks = _telemetry_marks()
+    if not marks:
         return None
-    merged = telemetry.summary()
-    counters = merged.get("counters", {})
-    hits = counters.get("sweep.cache.hit", 0.0)
-    probes = hits + counters.get("sweep.cache.miss", 0.0)
-    engine = merged.get("span_totals", {}).get("sweep.run")
-    chunk = merged.get("hists", {}).get("worker.chunk_size")
+    gained = {
+        key: sum(
+            figures[key] - _window.get(source, {}).get(key, 0)
+            for source, figures in marks.items()
+        )
+        for key in marks["live"]
+    }
+    probes = gained["hits"] + gained["misses"]
     return {
-        "engine_wall_s": round(engine["total_s"], 6) if engine else None,
-        "cache_hit_rate": round(hits / probes, 4) if probes else None,
+        "engine_wall_s": (
+            round(gained["engine_s"], 6) if gained["engine_runs"] else None
+        ),
+        "cache_hit_rate": round(gained["hits"] / probes, 4) if probes else None,
         "mean_chunk_size": (
-            round(chunk["mean"], 3) if chunk and chunk["count"] else None
+            round(gained["chunk_total"] / gained["chunks"], 3)
+            if gained["chunks"] else None
         ),
     }
 
@@ -182,6 +235,7 @@ def record_bench(label: str, payload: dict) -> None:
         digest = telemetry_summary()
         if digest is not None and "telemetry" not in entry:
             entry["telemetry"] = digest
+        open_telemetry_window()
         doc["runs"].append(entry)
         atomic_write_bytes(
             BENCH_PATH, (json.dumps(doc, indent=1) + "\n").encode()
@@ -199,6 +253,7 @@ __all__ = [
     "bench_spec",
     "config",
     "ladder",
+    "open_telemetry_window",
     "record_bench",
     "resolve_workers",
     "run_pair",

@@ -20,6 +20,7 @@ from benchmarks._common import (
     SERVICES,
     bench_spec,
     record_bench,
+    resolve_workers,
     run_point,
     run_spec,
 )
@@ -65,6 +66,7 @@ def test_fig8_load_sweep(benchmark, capsys):
         {
             "grid_size": len(spec),
             "wall_clock_s": round(elapsed, 3),
+            "workers": resolve_workers(),
             "cache_hits": results.cache_hits,
             "scenario_compute_s": round(results.compute_seconds, 3),
         },

@@ -17,6 +17,9 @@ it.  Checks:
   are exempt (a lone worker physically cannot beat serial plus
   collection overhead), as are sub-64 grids (too small to amortize
   fleet startup).
+* a telemetry digest's ``engine_wall_s`` is at most ``wall_clock_s`` x
+  workers (the entry's ``workers``, else its ``cpu_count``): a digest
+  that exceeds it counted work from outside its benchmark.
 * the adaptive gate: any ``adaptive_vs_exhaustive`` run on a grid of
   >= 256 points must show ``evaluations_fraction <= 0.25`` and
   ``best_gap_pct <= 5.0`` — budgeted search only exists because it
@@ -138,7 +141,29 @@ def _check_telemetry(run: dict, where: str) -> list[str]:
                 f"{where}: telemetry.{field} {value} outside "
                 f"[{low}, {'inf' if high is None else high}]"
             )
+    problems.extend(_check_engine_wall(run, digest, where))
     return problems
+
+
+def _check_engine_wall(run: dict, digest: dict, where: str) -> list[str]:
+    """A bench's engine time fits in its wall time times its workers.
+
+    ``engine_wall_s`` sums the engine spans recorded during the benchmark;
+    more than ``wall_clock_s`` x workers means the digest counted work
+    from outside the benchmark.  Workers default to the host's cpu_count.
+    """
+    engine = digest.get("engine_wall_s")
+    wall = run.get("wall_clock_s")
+    if not isinstance(engine, (int, float)) or not isinstance(wall, (int, float)):
+        return []
+    workers = run.get("workers") or run.get("cpu_count") or 1
+    if engine > wall * workers:
+        return [
+            f"{where}: telemetry.engine_wall_s {engine} exceeds wall_clock_s "
+            f"{wall} x {workers} workers — the digest counted work from "
+            "outside this benchmark"
+        ]
+    return []
 
 
 def check(path: Path) -> list[str]:

@@ -8,13 +8,21 @@ decision-interval boundaries (1 s by default), exactly as in the paper.
 
 Each epoch the engine:
 
-1. samples the offered load and refreshes tenant resource profiles,
+1. samples the offered load and, when the service's operating point
+   (load, cores) moved, refreshes the service's resource profile,
 2. computes the contention pressure on the service, its service-time
    inflation, utilization and saturation backlog,
 3. draws a noisy p99 latency observation for the monitor, and
 4. advances each application's logical progress at a rate set by its core
    allocation (Amdahl), active variant (measured time factor), DynamoRIO
    overhead (when instrumented) and the contention it suffers itself.
+
+Contention only moves when a tenant's profile or cores do, and that
+happens at four points: a level switch, a core move, an app finishing,
+and a new service operating point.  The engine keeps every pressure and
+what it derives from one (service inflation, app execution time) until
+one of those four calls :meth:`ColocationEngine._invalidate`; between
+decisions under constant load an epoch recomputes none of them.
 
 An application's final output quality is the progress-weighted mix of the
 inaccuracies of the variants it actually executed — running half the span
@@ -41,6 +49,7 @@ from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
+from repro.server.interference import PressureBreakdown
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
 from repro.server.resources import ResourceProfile
@@ -90,6 +99,10 @@ class AppSim:
     inaccuracy_integral: float = 0.0
     elided_progress: float = 0.0
     level_trace: list[tuple[float, int]] = field(default_factory=list)
+    #: level -> (scaled profile, uses elision), filled on first use.
+    _levels: dict[int, tuple[ResourceProfile, bool]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -98,13 +111,23 @@ class AppSim:
     def variant(self):
         return self.ladder.variant(self.level)
 
+    def _level(self) -> tuple[ResourceProfile, bool]:
+        level = self._levels.get(self.level)
+        if level is None:
+            variant = self.variant()
+            level = self._levels[self.level] = (
+                variant.scaled_profile(self.app.metadata.profile),
+                any(value is True for value in variant.spec.values()),
+            )
+        return level
+
     def active_profile(self) -> ResourceProfile:
         if self.finished:
             return _IDLE_PROFILE
-        return self.variant().scaled_profile(self.app.metadata.profile)
+        return self._level()[0]
 
     def uses_elision(self) -> bool:
-        return any(value is True for value in self.variant().spec.values())
+        return self._level()[1]
 
 
 @dataclass
@@ -279,6 +302,8 @@ class ColocationEngine:
         )
         self._node.add_tenant(self._service_tenant)
 
+        self._operating_point = (qps_ref, shares[0])
+
         self._apps: dict[str, AppSim] = {}
         for (app, ladder), cores in zip(apps, shares[1:]):
             tenant = Tenant(
@@ -287,24 +312,29 @@ class ColocationEngine:
                 profile=app.metadata.profile,
                 cores=cores,
             )
-            self._node.add_tenant(tenant)
             instrumentor = None
             if policy.requires_instrumentation:
                 instrumentor = Instrumentor(
                     FatBinary(app, ladder), self._bus, process=app.name
                 )
-            self._apps[app.name] = AppSim(
+            sim = self._apps[app.name] = AppSim(
                 app=app,
                 ladder=ladder,
                 tenant=tenant,
                 instrumented=policy.requires_instrumentation,
                 instrumentor=instrumentor,
             )
+            tenant.set_profile(sim.active_profile())
+            self._node.add_tenant(tenant)
 
         self._monitor = PerformanceMonitor(qos=service.qos)
         self._backlog = BacklogTracker()
         self._actuator = Actuator(self, overhead=self._overhead)
         self._inflation_ema = 1.0
+        # Contention caches, emptied by _invalidate().
+        self._pressures: dict[str, PressureBreakdown] = {}
+        self._raw_inflation: float | None = None
+        self._exec_times: dict[str, float] = {}
 
     # -- facade used by the actuator -------------------------------------
 
@@ -347,6 +377,7 @@ class ColocationEngine:
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
+        self._invalidate()
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.level_changes")
@@ -358,6 +389,7 @@ class ColocationEngine:
             self._node.reclaim_core(name, self._service.name)
         else:
             self._node.reclaim_core(self._service.name, name)
+        self._invalidate()
         if telemetry.enabled:
             telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
             telemetry.count("runtime.core_moves")
@@ -378,21 +410,19 @@ class ColocationEngine:
 
         # Phase timings (monitor epochs vs. policy decisions vs. actuator
         # work) are the profile that justifies the tensorization refactor.
-        # The recorder's injected clock is the only clock named here —
-        # simulation time (`self._now`) stays untouched, and everything
-        # below is guarded so an uninstrumented run pays one bool check.
+        # The clock is read twice per decision interval, not per epoch: the
+        # monitor phase runs from the end of one policy call to the close
+        # of the next interval.  The recorder's injected clock is the only
+        # clock named here — simulation time (`self._now`) stays untouched,
+        # and everything below is guarded so an uninstrumented run pays one
+        # bool check per interval.
         telemetry = get_recorder()
         instrumented = telemetry.enabled
-        monitor_spent = 0.0
-        tick = 0.0
+        interval_start = telemetry.now() if instrumented else 0.0
 
         epoch_index = 0
         while self._now < cfg.horizon:
-            if instrumented:
-                tick = telemetry.now()
             self._step_epoch(epoch_index, times, p99s, service_cores, app_levels, app_cores)
-            if instrumented:
-                monitor_spent += telemetry.now() - tick
             for name, sim in self._apps.items():
                 min_cores[name] = min(min_cores[name], sim.tenant.cores)
                 max_reclaimed[name] = max(
@@ -400,20 +430,19 @@ class ColocationEngine:
                 )
             epoch_index += 1
             if epoch_index % epochs_per_interval == 0:
-                if instrumented:
-                    tick = telemetry.now()
                 obs = self._monitor.close_interval(self._now)
                 if instrumented:
-                    monitor_spent += telemetry.now() - tick
-                    telemetry.observe("runtime.monitor_phase_s", monitor_spent)
-                    monitor_spent = 0.0
                     tick = telemetry.now()
+                    telemetry.observe(
+                        "runtime.monitor_phase_s", tick - interval_start
+                    )
                 before = self._action_fingerprint()
                 self._policy.on_interval(obs, self._actuator)
                 summary = self._describe_action(before)
                 if instrumented:
+                    interval_start = telemetry.now()
                     telemetry.observe(
-                        "runtime.policy_phase_s", telemetry.now() - tick
+                        "runtime.policy_phase_s", interval_start - tick
                     )
                 intervals.append(IntervalRecord(observation=obs, action_summary=summary))
             if cfg.stop_when_apps_done and all(
@@ -464,12 +493,15 @@ class ColocationEngine:
         dt = cfg.monitor_epoch
         qps = self._loadgen.qps_at(self._now)
         svc_cores = self._service_tenant.cores
-        self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-        for sim in self._apps.values():
-            sim.tenant.set_profile(sim.active_profile())
+        if (qps, svc_cores) != self._operating_point:
+            self._operating_point = (qps, svc_cores)
+            self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
+            self._invalidate()
 
-        pressure = self._node.pressure_on(self._service.name)
-        raw_inflation = self._service.sensitivity.inflation(pressure)
+        pressure = self._pressure_on(self._service.name)
+        if self._raw_inflation is None:
+            self._raw_inflation = self._service.sensitivity.inflation(pressure)
+        raw_inflation = self._raw_inflation
         # Tail-latency effects of an allocation or variant change develop
         # over cache-refill / queue-drain timescales (~1 s), not instantly.
         alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
@@ -510,6 +542,23 @@ class ColocationEngine:
             dt -= consumed
             if dt <= 0:
                 return
+        dp = dt / self._exec_time(sim)
+        dp = min(dp, 1.0 - sim.progress)
+        sim.progress += dp
+        sim.inaccuracy_integral += dp * sim.variant().inaccuracy_pct
+        if sim.uses_elision():
+            sim.elided_progress += dp
+        if sim.progress >= 1.0 - 1e-12:
+            sim.finished = True
+            sim.finish_time = self._now + dt
+            sim.tenant.set_profile(_IDLE_PROFILE)
+            self._invalidate()
+
+    def _exec_time(self, sim: AppSim) -> float:
+        """Whole-run execution time of ``sim`` in the node's current state."""
+        exec_time = self._exec_times.get(sim.name)
+        if exec_time is not None:
+            return exec_time
         metadata = sim.app.metadata
         cores = sim.tenant.cores
         nominal = sim.tenant.nominal_cores
@@ -520,21 +569,30 @@ class ColocationEngine:
         exec_time *= sim.variant().time_factor
         if sim.instrumented:
             exec_time *= self._overhead.instrumentation_factor(metadata)
-        pressure = self._node.pressure_on(sim.name)
+        pressure = self._pressure_on(sim.name)
         slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
             0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
         )
         exec_time *= slowdown
-        dp = dt / exec_time
-        dp = min(dp, 1.0 - sim.progress)
-        sim.progress += dp
-        sim.inaccuracy_integral += dp * sim.variant().inaccuracy_pct
-        if sim.uses_elision():
-            sim.elided_progress += dp
-        if sim.progress >= 1.0 - 1e-12:
-            sim.finished = True
-            sim.finish_time = self._now + dt
-            sim.tenant.set_profile(_IDLE_PROFILE)
+        self._exec_times[sim.name] = exec_time
+        return exec_time
+
+    def _pressure_on(self, name: str) -> PressureBreakdown:
+        pressure = self._pressures.get(name)
+        if pressure is None:
+            pressure = self._pressures[name] = self._node.pressure_on(name)
+        return pressure
+
+    def _invalidate(self) -> None:
+        """Forget every pressure and everything derived from one.
+
+        Called at the four changes that move a tenant's profile or cores
+        (level switch, core move, app finishing, new service operating
+        point), so a cached value is never read across one of them.
+        """
+        self._pressures.clear()
+        self._raw_inflation = None
+        self._exec_times.clear()
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

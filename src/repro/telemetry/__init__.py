@@ -56,7 +56,6 @@ __all__ = [
     "reset_recorder",
     "set_recorder",
     "shard_path",
-    "summary",
     "write_chrome_trace",
     "write_shard",
 ]
@@ -131,20 +130,3 @@ def flush(directory: str | os.PathLike | None = None) -> Path | None:
     if not rec.enabled:
         return None
     return write_shard(default_dir() if directory is None else directory, rec)
-
-
-def summary(directory: str | os.PathLike | None = None) -> dict:
-    """Fleet-wide aggregate: this process's snapshot + all shard metas."""
-    snapshots = []
-    rec = get_recorder()
-    if rec.enabled:
-        snapshots.append(rec.snapshot())
-    directory = default_dir() if directory is None else Path(directory)
-    for shard in read_shards(directory):
-        meta = shard["meta"]
-        if rec.enabled and meta.get("pid") == rec.pid and meta.get(
-            "process"
-        ) == rec.process:
-            continue  # already counted via the live snapshot
-        snapshots.append(meta)
-    return merge_snapshots(snapshots)
