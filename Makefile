@@ -13,6 +13,8 @@ test:
 ## The paper's headline claims over the full matrix (24 apps x 3 services x
 ## {pliant, precise} x seeds 1-5, serial, uncached): QoS restored on every
 ## pair, precise always violating, ~2.1% mean and <= 5.5% worst quality loss.
+## `make test` asserts the same (tests/integration/test_paper_claims.py); this
+## target also shows the per-seed spreads.
 claims:
 	$(PY) scripts/check_claims.py
 

@@ -185,10 +185,9 @@ class TcpBroker:
             get_recorder().count("broker.failed")
             return {"ok": True}
         if op == "done_info":
-            job_ids = request.get("job_ids")
-            if job_ids is None:
-                job_ids = list(self._done)
-            infos = {j: self._done[j] for j in job_ids if j in self._done}
+            infos = {
+                j: self._done[j] for j in request["job_ids"] if j in self._done
+            }
             return {"ok": True, "infos": infos}
         if op == "reset":
             job_id = request["job_id"]
@@ -468,7 +467,7 @@ class TcpTransport(BrokerTransport):
 
     def all_done(self) -> bool:
         status = self.status()
-        return status.total > 0 and status.done == status.total
+        return status.done == status.total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TcpTransport({self.spec!r})"

@@ -18,7 +18,11 @@ from repro.services.loadgen import LOADGEN_SHAPES
 def _normalize_mix(mix: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
     if isinstance(mix, str):
         return (mix,)
-    return tuple(mix)
+    mix = tuple(mix)
+    bad = [app for app in mix if not isinstance(app, str)]
+    if bad:
+        raise ValueError(f"app names must be strings, got {bad!r}")
+    return mix
 
 
 def _freeze(value):
@@ -54,6 +58,13 @@ def _jsonify(value):
 
 def _pairs(value) -> tuple[tuple[object, object], ...]:
     return tuple((key, item) for key, item in value)
+
+
+def _integral(value) -> int:
+    """``int`` that refuses to truncate: ``4.0`` loads, ``1.5`` does not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
 
 
 #: Marks a :meth:`Scenario.from_payload` field that has no default.
@@ -231,9 +242,9 @@ class Scenario:
             monitor_epoch=field("monitor_epoch", float, 0.1),
             slack_threshold=field("slack_threshold", float, 0.10),
             horizon=field("horizon", float, 400.0),
-            seed=field("seed", int, 0),
+            seed=field("seed", _integral, 0),
             stop_when_apps_done=field("stop_when_apps_done", default=True),
-            exploration_seed=field("exploration_seed", int, 0),
+            exploration_seed=field("exploration_seed", _integral, 0),
             loadgen_shape=field("loadgen_shape", default="constant"),
             loadgen_params=field("loadgen_params", _pairs, ()),
             platform=field("platform", default="default"),

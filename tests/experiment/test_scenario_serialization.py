@@ -95,6 +95,8 @@ class TestRoundTrip:
                 "stop_when_apps_done",
             ),
             ("scenario", {**MINIMAL, "stop_when_apps_done": 1}, "stop_when_apps_done"),
+            ("scenario", {"service": "nginx", "apps": [3]}, "apps"),
+            ("scenario", {**MINIMAL, "seed": 1.5}, "seed"),
         ],
     )
     def test_malformed_payload_names_the_field(self, kind, payload, field):
@@ -113,6 +115,13 @@ class TestRoundTrip:
         scenario = Scenario.from_payload({**MINIMAL, "apps": "canneal"})
         assert scenario.apps == ("canneal",)
         assert scenario == Scenario(service="nginx", apps="canneal")
+
+    def test_integral_seed_loads_whole(self):
+        # JSON writers may emit 4 as 4.0; that is still seed 4, same key.
+        as_int = Scenario.from_payload({**MINIMAL, "seed": 4})
+        as_float = Scenario.from_payload({**MINIMAL, "seed": 4.0})
+        assert as_int == as_float
+        assert as_float.seed == 4 and type(as_float.seed) is int
 
     def test_non_bool_stop_when_apps_done_in_spec_base_rejected(self):
         spec = ExperimentSpec.from_json(

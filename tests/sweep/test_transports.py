@@ -19,6 +19,7 @@ from repro.sweep import (
     SweepCache,
     TcpBroker,
     TcpTransport,
+    run_worker,
     transport_from_spec,
 )
 from repro.sweep.backends.tcp import parse_tcp_spec
@@ -118,6 +119,15 @@ class TestTransportParity:
         assert transport.status().failed == 1
         # Drained, not re-queued: no worker can claim a poison job again.
         assert transport.claim_chunk("w10", max_jobs=5) == []
+
+    def test_empty_queue_is_all_done(self, transport_spec, tmp_path):
+        """Nothing submitted means nothing outstanding: an idle-exiting
+        worker leaves at once on either transport."""
+        transport = transport_from_spec(transport_spec)
+        assert transport.all_done()
+        assert transport.status().total == 0
+        cache = SweepCache(tmp_path / "cache")
+        assert run_worker(transport, cache=cache, exit_when_idle=True) == 0
 
 
 class TestTcpWorkerKill:
