@@ -19,10 +19,12 @@ claims:
 	$(PY) scripts/check_claims.py
 
 ## Sweep-engine benchmark: measures parallel/cached/vectorized speedups and
-## the distributed-vs-serial gap; appends trajectory entries to
-## BENCH_sweep.json.
+## the distributed-vs-serial gap, then records perfbench's end-to-end
+## metrics on all four workloads (perfbench/run.py --trace 0); appends
+## trajectory entries to BENCH_sweep.json.
 bench:
 	$(PY) -m pytest benchmarks/test_sweep_engine.py benchmarks/test_adaptive_search.py -m benchmark -q
+	$(PY) scripts/bench_perfbench.py
 
 ## Distributed-backend smoke: >= 32-scenario grid through a two-worker local
 ## fleet with a mid-sweep worker kill; asserts bit-identity with the serial

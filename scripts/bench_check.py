@@ -26,6 +26,11 @@ it.  Checks:
   finds (nearly) the same optimum for a quarter of the work, and the
   trajectory is where that claim is held to account.
 
+* a ``perfbench`` run (``scripts/bench_perfbench.py``) names one of the
+  benchmark's workloads, its integer seed, positive ``seconds``, the git
+  revision measured, and non-negative ``scenarios_per_s``, ``setup_s``
+  and ``peak_rss_mb`` — a number without what it timed is not evidence.
+
 Exit code 0 on success, 1 with a diagnostic otherwise.  An absent file
 is an error only with ``--require`` (fresh clones have no measurements
 yet).
@@ -106,6 +111,35 @@ def _check_adaptive_gate(run: dict, where: str) -> list[str]:
             "search's best point fell more than 5% short of the exhaustive "
             "optimum"
         )
+    return problems
+
+
+PERFBENCH_WORKLOADS = ("matrix-constant", "mixes-varying", "rerun-warm", "fleet-short")
+PERFBENCH_METRICS = ("scenarios_per_s", "setup_s", "peak_rss_mb")
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_perfbench(run: dict, where: str) -> list[str]:
+    if run.get("label") != "perfbench":
+        return []
+    problems = []
+    if run.get("workload") not in PERFBENCH_WORKLOADS:
+        problems.append(f"{where}: perfbench workload {run.get('workload')!r} unknown")
+    if not isinstance(run.get("seed"), int) or isinstance(run.get("seed"), bool):
+        problems.append(f"{where}: perfbench seed must be an integer")
+    if not _number(run.get("seconds")) or run["seconds"] <= 0:
+        problems.append(f"{where}: perfbench seconds must be a positive number")
+    if not isinstance(run.get("revision"), str) or not run["revision"]:
+        problems.append(f"{where}: perfbench run missing the git revision it measured")
+    for metric in PERFBENCH_METRICS:
+        value = run.get(metric)
+        if not _number(value) or value < 0:
+            problems.append(
+                f"{where}: perfbench {metric} must be a non-negative number, got {value!r}"
+            )
     return problems
 
 
@@ -200,6 +234,7 @@ def check(path: Path) -> list[str]:
             )
         problems.extend(_check_distributed_gate(run, where))
         problems.extend(_check_adaptive_gate(run, where))
+        problems.extend(_check_perfbench(run, where))
         problems.extend(_check_telemetry(run, where))
         stamp = run.get("timestamp")
         try:

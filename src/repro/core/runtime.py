@@ -17,12 +17,20 @@ Each epoch the engine:
    allocation (Amdahl), active variant (measured time factor), DynamoRIO
    overhead (when instrumented) and the contention it suffers itself.
 
-Contention only moves when a tenant's profile or cores do, and that
-happens at four points: a level switch, a core move, an app finishing,
-and a new service operating point.  The engine keeps every pressure and
-what it derives from one (service inflation, app execution time) until
-one of those four calls :meth:`ColocationEngine._invalidate`; between
-decisions under constant load an epoch recomputes none of them.
+Contention state has two levels, each recomputed only when its inputs
+move.  The *tenant side* (every app's terms as an aggressor, the service's
+sums over them, each app's base execution time) changes only at a level
+switch, a core move or an app finishing.  The *service side* (the
+service's pressure and raw inflation, each app's slowdown under the
+service's traffic and so its execution time) changes at a new service
+operating point too, which under time-varying load is every epoch.  Both
+go through :class:`~repro.server.interference.InterferenceModel`'s pieces
+in node order, so they equal :meth:`ServerNode.pressure_on` bit for bit.
+
+:meth:`ColocationEngine.run` advances a *segment* at a time: the epochs up
+to the next decision boundary, cut short by the horizon or after an epoch
+in which an app finishes.  Inside a segment no tenant's cores or level
+move, so the per-segment columns and core extremes are written once.
 
 An application's final output quality is the progress-weighted mix of the
 inaccuracies of the variants it actually executed — running half the span
@@ -49,14 +57,13 @@ from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
 from repro.rng import child_generator
-from repro.server.interference import PressureBreakdown
+from repro.server.interference import PressureBreakdown, Terms
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
 from repro.server.resources import ResourceProfile
 from repro.server.tenant import Tenant, TenantKind
 from repro.services.base import BacklogTracker, InteractiveService
 from repro.services.loadgen import ConstantLoad, LoadGenerator
-from repro.telemetry import get_recorder
 
 #: Slowdown an approximate app suffers per unit of contention pressure on
 #: itself (batch apps tolerate interference far better than tail latency).
@@ -99,6 +106,9 @@ class AppSim:
     inaccuracy_integral: float = 0.0
     elided_progress: float = 0.0
     level_trace: list[tuple[float, int]] = field(default_factory=list)
+    #: Whole-run execution time under the node's current contention, kept
+    #: fresh by :meth:`ColocationEngine._refresh_service`.
+    exec_time: float = 0.0
     #: level -> (scaled profile, uses elision), filled on first use.
     _levels: dict[int, tuple[ResourceProfile, bool]] = field(
         default_factory=dict, repr=False
@@ -331,10 +341,15 @@ class ColocationEngine:
         self._backlog = BacklogTracker()
         self._actuator = Actuator(self, overhead=self._overhead)
         self._inflation_ema = 1.0
-        # Contention caches, emptied by _invalidate().
-        self._pressures: dict[str, PressureBreakdown] = {}
-        self._raw_inflation: float | None = None
-        self._exec_times: dict[str, float] = {}
+        self._model = self._node.interference
+        # Tenant-side contention state (see _refresh_tenants); None when a
+        # level switch, core move or finish made it stale.
+        self._app_sums: Terms = (0.0, 0.0, 0.0, 0.0)
+        self._app_terms: list[tuple] | None = None
+        # Service-side state (see _refresh_service), valid while fresh.
+        self._service_fresh = False
+        self._service_pressure = PressureBreakdown()
+        self._raw_inflation = 1.0
 
     # -- facade used by the actuator -------------------------------------
 
@@ -369,36 +384,35 @@ class ColocationEngine:
         )
 
     def apply_level(self, name: str, level: int) -> None:
-        telemetry = get_recorder()
-        tick = telemetry.now() if telemetry.enabled else 0.0
         sim = self._apps[name]
         if sim.instrumentor is not None:
             sim.instrumentor.request_level(level)
         sim.level = level
         sim.level_trace.append((self._now, level))
         sim.tenant.set_profile(sim.active_profile())
-        self._invalidate()
-        if telemetry.enabled:
-            telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
-            telemetry.count("runtime.level_changes")
+        self._tenants_changed()
 
     def move_core(self, name: str, to_service: bool) -> None:
-        telemetry = get_recorder()
-        tick = telemetry.now() if telemetry.enabled else 0.0
         if to_service:
             self._node.reclaim_core(name, self._service.name)
         else:
             self._node.reclaim_core(self._service.name, name)
-        self._invalidate()
-        if telemetry.enabled:
-            telemetry.observe("runtime.actuator_s", telemetry.now() - tick)
-            telemetry.count("runtime.core_moves")
+        self._tenants_changed()
 
     # -- simulation --------------------------------------------------------
 
     def run(self) -> ColocationResult:
         cfg = self._config
-        epochs_per_interval = max(1, int(round(cfg.decision_interval / cfg.monitor_epoch)))
+        dt = cfg.monitor_epoch
+        epochs_per_interval = max(1, int(round(cfg.decision_interval / dt)))
+        # Tail-latency effects of an allocation or variant change develop
+        # over cache-refill / queue-drain timescales (~1 s), not instantly.
+        alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
+        service = self._service
+        service_tenant = self._service_tenant
+        qps_at = self._loadgen.qps_at
+        backlog = self._backlog
+        monitor = self._monitor
         times: list[float] = []
         p99s: list[float] = []
         service_cores: list[int] = []
@@ -408,48 +422,96 @@ class ColocationEngine:
         min_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
         max_reclaimed = {n: 0 for n in self._apps}
 
-        # Phase timings (monitor epochs vs. policy decisions vs. actuator
-        # work) are the profile that justifies the tensorization refactor.
-        # The clock is read twice per decision interval, not per epoch: the
-        # monitor phase runs from the end of one policy call to the close
-        # of the next interval.  The recorder's injected clock is the only
-        # clock named here — simulation time (`self._now`) stays untouched,
-        # and everything below is guarded so an uninstrumented run pays one
-        # bool check per interval.
-        telemetry = get_recorder()
-        instrumented = telemetry.enabled
-        interval_start = telemetry.now() if instrumented else 0.0
-
         epoch_index = 0
         while self._now < cfg.horizon:
-            self._step_epoch(epoch_index, times, p99s, service_cores, app_levels, app_cores)
+            # One segment: the epochs up to the next decision boundary, cut
+            # short by the horizon or by an app finishing.  No policy acts
+            # inside it, so every tenant's cores and level hold still.
+            svc_cores = service_tenant.cores
+            saturation = service.saturation_qps(svc_cores)
+            # Levels hold still too, and with them what each app's level
+            # implies for its progress.
+            lanes = [
+                (sim, sim.variant().inaccuracy_pct, sim.uses_elision())
+                for sim in self._apps.values()
+                if not sim.finished
+            ]
+            segment_start = len(times)
+            while True:
+                qps = qps_at(self._now)
+                if (qps, svc_cores) != self._operating_point:
+                    self._operating_point = (qps, svc_cores)
+                    service_tenant.set_profile(service.profile(qps, svc_cores))
+                    self._service_fresh = False
+                if not self._service_fresh:
+                    self._refresh_service()
+                self._inflation_ema += alpha * (self._raw_inflation - self._inflation_ema)
+                inflation = self._inflation_ema
+                capacity = saturation / inflation
+                backlog.update(qps, capacity, dt)
+                sample = service.sample_p99(
+                    qps,
+                    svc_cores,
+                    self._service_pressure,
+                    self._rng,
+                    dt,
+                    backlog_penalty=backlog.penalty(capacity),
+                    inflation=inflation,
+                )
+                if monitor.should_sample(epoch_index):
+                    monitor.record(sample)
+                finished = False
+                for sim, inaccuracy, elided in lanes:
+                    finished |= self._advance_app(sim, dt, inaccuracy, elided)
+                times.append(self._now)
+                p99s.append(sample)
+                self._now += dt
+                epoch_index += 1
+                if (
+                    finished
+                    or epoch_index % epochs_per_interval == 0
+                    or self._now >= cfg.horizon
+                ):
+                    break
+
+            epochs = len(times) - segment_start
+            service_cores.extend([svc_cores] * epochs)
             for name, sim in self._apps.items():
-                min_cores[name] = min(min_cores[name], sim.tenant.cores)
+                cores = sim.tenant.cores
+                app_levels[name].extend([sim.level] * epochs)
+                app_cores[name].extend([cores] * epochs)
+                min_cores[name] = min(min_cores[name], cores)
                 max_reclaimed[name] = max(
                     max_reclaimed[name], sim.tenant.reclaimed_cores
                 )
-            epoch_index += 1
             if epoch_index % epochs_per_interval == 0:
-                obs = self._monitor.close_interval(self._now)
-                if instrumented:
-                    tick = telemetry.now()
-                    telemetry.observe(
-                        "runtime.monitor_phase_s", tick - interval_start
-                    )
+                obs = monitor.close_interval(self._now)
                 before = self._action_fingerprint()
                 self._policy.on_interval(obs, self._actuator)
                 summary = self._describe_action(before)
-                if instrumented:
-                    interval_start = telemetry.now()
-                    telemetry.observe(
-                        "runtime.policy_phase_s", interval_start - tick
-                    )
                 intervals.append(IntervalRecord(observation=obs, action_summary=summary))
             if cfg.stop_when_apps_done and all(
                 sim.finished for sim in self._apps.values()
             ):
                 break
 
+        return self._result(
+            times, p99s, service_cores, app_levels, app_cores, intervals,
+            min_cores, max_reclaimed,
+        )
+
+    def _result(
+        self,
+        times: list[float],
+        p99s: list[float],
+        service_cores: list[int],
+        app_levels: dict[str, list[int]],
+        app_cores: dict[str, list[int]],
+        intervals: list[IntervalRecord],
+        min_cores: dict[str, int],
+        max_reclaimed: dict[str, int],
+    ) -> ColocationResult:
+        """Assemble a finished run's columns and records into its result."""
         outcomes = [
             AppOutcome(
                 name=name,
@@ -480,119 +542,108 @@ class ColocationEngine:
 
     # -- internals --------------------------------------------------------
 
-    def _step_epoch(
-        self,
-        epoch_index: int,
-        times: list[float],
-        p99s: list[float],
-        service_cores: list[int],
-        app_levels: dict[str, list[int]],
-        app_cores: dict[str, list[int]],
-    ) -> None:
-        cfg = self._config
-        dt = cfg.monitor_epoch
-        qps = self._loadgen.qps_at(self._now)
-        svc_cores = self._service_tenant.cores
-        if (qps, svc_cores) != self._operating_point:
-            self._operating_point = (qps, svc_cores)
-            self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
-            self._invalidate()
-
-        pressure = self._pressure_on(self._service.name)
-        if self._raw_inflation is None:
-            self._raw_inflation = self._service.sensitivity.inflation(pressure)
-        raw_inflation = self._raw_inflation
-        # Tail-latency effects of an allocation or variant change develop
-        # over cache-refill / queue-drain timescales (~1 s), not instantly.
-        alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
-        self._inflation_ema += alpha * (raw_inflation - self._inflation_ema)
-        inflation = self._inflation_ema
-        capacity = self._service.saturation_qps(svc_cores) / inflation
-        self._backlog.update(qps, capacity, dt)
-        penalty = self._backlog.penalty(capacity)
-        sample = self._service.sample_p99(
-            qps,
-            svc_cores,
-            pressure,
-            self._rng,
-            dt,
-            backlog_penalty=penalty,
-            inflation=inflation,
-        )
-        if self._monitor.should_sample(epoch_index):
-            self._monitor.record(sample)
-
-        for sim in self._apps.values():
-            self._advance_app(sim, dt)
-
-        times.append(self._now)
-        p99s.append(sample)
-        service_cores.append(svc_cores)
-        for name, sim in self._apps.items():
-            app_levels[name].append(sim.level)
-            app_cores[name].append(sim.tenant.cores)
-        self._now += dt
-
-    def _advance_app(self, sim: AppSim, dt: float) -> None:
-        if sim.finished:
-            return
+    def _advance_app(
+        self, sim: AppSim, dt: float, inaccuracy: float, elided: bool
+    ) -> bool:
+        """Advance running ``sim`` by one epoch at its level's ``inaccuracy``
+        and elision; True when it finished in it."""
         if sim.pause_remaining > 0:
             consumed = min(sim.pause_remaining, dt)
             sim.pause_remaining -= consumed
             dt -= consumed
             if dt <= 0:
-                return
-        dp = dt / self._exec_time(sim)
-        dp = min(dp, 1.0 - sim.progress)
+                return False
+        if not self._service_fresh:
+            self._refresh_service()
+        dp = min(dt / sim.exec_time, 1.0 - sim.progress)
         sim.progress += dp
-        sim.inaccuracy_integral += dp * sim.variant().inaccuracy_pct
-        if sim.uses_elision():
+        sim.inaccuracy_integral += dp * inaccuracy
+        if elided:
             sim.elided_progress += dp
-        if sim.progress >= 1.0 - 1e-12:
-            sim.finished = True
-            sim.finish_time = self._now + dt
-            sim.tenant.set_profile(_IDLE_PROFILE)
-            self._invalidate()
+        if sim.progress < 1.0 - 1e-12:
+            return False
+        sim.finished = True
+        sim.finish_time = self._now + dt
+        sim.tenant.set_profile(_IDLE_PROFILE)
+        self._tenants_changed()
+        return True
 
-    def _exec_time(self, sim: AppSim) -> float:
-        """Whole-run execution time of ``sim`` in the node's current state."""
-        exec_time = self._exec_times.get(sim.name)
-        if exec_time is not None:
-            return exec_time
+    def _base_exec_time(self, sim: AppSim) -> float:
+        """``sim``'s execution time before the slowdown contention causes."""
         metadata = sim.app.metadata
-        cores = sim.tenant.cores
-        nominal = sim.tenant.nominal_cores
         p = metadata.parallel_fraction
-        amdahl_now = (1.0 - p) + p / max(cores, 1)
-        amdahl_nominal = (1.0 - p) + p / max(nominal, 1)
+        amdahl_now = (1.0 - p) + p / max(sim.tenant.cores, 1)
+        amdahl_nominal = (1.0 - p) + p / max(sim.tenant.nominal_cores, 1)
         exec_time = metadata.nominal_exec_time * amdahl_now / amdahl_nominal
         exec_time *= sim.variant().time_factor
         if sim.instrumented:
             exec_time *= self._overhead.instrumentation_factor(metadata)
-        pressure = self._pressure_on(sim.name)
-        slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
-            0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
-        )
-        exec_time *= slowdown
-        self._exec_times[sim.name] = exec_time
         return exec_time
 
-    def _pressure_on(self, name: str) -> PressureBreakdown:
-        pressure = self._pressures.get(name)
-        if pressure is None:
-            pressure = self._pressures[name] = self._node.pressure_on(name)
-        return pressure
+    def _tenants_changed(self) -> None:
+        """Mark both levels stale after a level switch, core move or finish."""
+        self._app_terms = None
+        self._service_fresh = False
 
-    def _invalidate(self) -> None:
-        """Forget every pressure and everything derived from one.
+    def _refresh_tenants(self) -> None:
+        """Recompute what only the apps' profiles and cores determine.
 
-        Called at the four changes that move a tenant's profile or cores
-        (level switch, core move, app finishing, new service operating
-        point), so a cached value is never read across one of them.
+        That is each app's terms as an aggressor, their sums as felt by
+        the service, and for each running app the other apps' terms, its
+        own bandwidth and its base execution time.  The apps follow the
+        service in node order, so a victim's aggressors are the service
+        and then the other apps, each in the order :meth:`_refresh_service`
+        and :meth:`ServerNode.pressure_on` add them.
         """
-        self._pressures.clear()
-        self._raw_inflation = None
-        self._exec_times.clear()
+        model = self._model
+        apps = list(self._apps.values())
+        terms = [model.terms(sim.tenant.profile, sim.tenant.cores) for sim in apps]
+        self._app_sums = model.reduce([t for t in terms if t is not None])
+        self._app_terms = []
+        for index, sim in enumerate(apps):
+            if sim.finished:
+                continue
+            others = [
+                t for other, t in enumerate(terms) if other != index and t is not None
+            ]
+            self._app_terms.append((
+                sim,
+                tuple(t[0] for t in others),
+                tuple(t[1] for t in others),
+                sim.tenant.profile.llc_intensity,
+                sim.tenant.profile.total_membw(sim.tenant.cores),
+                self._base_exec_time(sim),
+            ))
+
+    def _refresh_service(self) -> None:
+        """Recompute what the service's operating point determines.
+
+        That is the service's pressure and raw inflation, and each running
+        app's LLC and memory-bandwidth slowdown (the service is one of its
+        aggressors) and hence its execution time.
+        """
+        if self._app_terms is None:
+            self._refresh_tenants()
+        model = self._model
+        tenant = self._service_tenant
+        # The service always holds a core, so it always has terms.
+        service_rate, service_bw, _, _ = model.terms(tenant.profile, tenant.cores)
+        self._service_pressure = model.pressure(
+            tenant.profile, tenant.cores, self._app_sums
+        )
+        self._raw_inflation = self._service.sensitivity.inflation(
+            self._service_pressure
+        )
+        for sim, rates, bws, llc_intensity, own_bw, base in self._app_terms:
+            llc = model.llc_pollution((service_rate, *rates)) * llc_intensity
+            membw_linear, membw_overload = model.membw_pressure(
+                own_bw, sum((service_bw, *bws))
+            )
+            slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
+                0.5 * llc + membw_linear + membw_overload
+            )
+            sim.exec_time = base * slowdown
+        self._service_fresh = True
 
     def _final_inaccuracy(self, sim: AppSim) -> float:
         inaccuracy = sim.inaccuracy_integral

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.server.platform import Platform
 from repro.server.resources import ResourceProfile
@@ -73,24 +74,84 @@ def _overload(utilization: float, knee: float = _OVERLOAD_KNEE) -> float:
     return ((utilization - knee) / (1.0 - knee)) ** 2
 
 
+#: One tenant's contribution as an aggressor: (LLC pollution rate, memory
+#: bandwidth, disk bandwidth, network bandwidth).
+Terms = tuple[float, float, float, float]
+
+
 class InterferenceModel:
-    """Computes contention pressures for tenants sharing a platform."""
+    """Computes contention pressures for tenants sharing a platform.
+
+    A pressure is built from two kinds of pieces.  :meth:`terms` is one
+    aggressor's contribution and depends only on its own profile and
+    cores; :meth:`reduce` folds the aggressors' terms, in node order, into
+    the four sums a victim feels; :meth:`pressure` turns those sums into
+    the victim's marginal pressure.  :meth:`pressure_on` composes all
+    three, so a caller that keeps terms or sums between calls computes the
+    same floats.
+    """
 
     def __init__(self, platform: Platform) -> None:
         self._platform = platform
 
-    def llc_pollution(self, aggressors: list[tuple[ResourceProfile, int]]) -> float:
-        """Aggregate cache-pollution rate of ``aggressors`` (fraction of LLC)."""
+    def terms(self, profile: ResourceProfile, cores: int) -> Terms | None:
+        """What a tenant on ``cores`` cores exerts on others (None if idle)."""
+        if cores <= 0:
+            return None
+        rate_scale = math.sqrt(cores / _REFERENCE_CORES)
+        return (
+            profile.llc_footprint_bytes * profile.llc_intensity * rate_scale,
+            profile.total_membw(cores),
+            profile.disk_bw,
+            profile.network_bw,
+        )
+
+    def llc_pollution(self, rates: Iterable[float]) -> float:
+        """Cache pollution (fraction of LLC) of aggressors with LLC ``rates``."""
         llc = self._platform.llc_bytes
         if llc <= 0:
             return 0.0
         demand = 0.0
-        for profile, cores in aggressors:
-            if cores <= 0:
-                continue
-            rate_scale = math.sqrt(cores / _REFERENCE_CORES)
-            demand += profile.llc_footprint_bytes * profile.llc_intensity * rate_scale
+        for rate in rates:
+            demand += rate
         return min(1.5, demand / llc)
+
+    def reduce(self, terms: list[Terms]) -> Terms:
+        """The aggressors' LLC pollution and summed bandwidth demands."""
+        return (
+            self.llc_pollution(t[0] for t in terms),
+            sum(t[1] for t in terms),
+            sum(t[2] for t in terms),
+            sum(t[3] for t in terms),
+        )
+
+    def membw_pressure(self, own_bw: float, aggressor_bw: float) -> tuple[float, float]:
+        """(linear, overload) memory-bandwidth pressure on a victim using ``own_bw``."""
+        capacity = self._platform.memory_bandwidth
+        total_util = (own_bw + aggressor_bw) / capacity if capacity > 0 else 0.0
+        own_util = own_bw / capacity if capacity > 0 else 0.0
+        return (
+            max(0.0, total_util - own_util),
+            max(0.0, _overload(total_util) - _overload(own_util)),
+        )
+
+    def pressure(
+        self, victim: ResourceProfile, victim_cores: int, aggressors: Terms
+    ) -> PressureBreakdown:
+        """Marginal pressure on ``victim`` from the :meth:`reduce`-d ``aggressors``."""
+        pollution, membw, disk, network = aggressors
+        membw_linear, membw_overload = self.membw_pressure(
+            victim.total_membw(victim_cores), membw
+        )
+        return PressureBreakdown(
+            llc=pollution * victim.llc_intensity,
+            membw_linear=membw_linear,
+            membw_overload=membw_overload,
+            disk=self.bw_pressure(victim.disk_bw, disk, self._platform.disk_bandwidth),
+            network=self.bw_pressure(
+                victim.network_bw, network, self._platform.network_bandwidth
+            ),
+        )
 
     def pressure_on(
         self,
@@ -99,36 +160,13 @@ class InterferenceModel:
         aggressors: list[tuple[ResourceProfile, int]],
     ) -> PressureBreakdown:
         """Marginal pressure the ``aggressors`` exert on ``victim``."""
-        llc = self.llc_pollution(aggressors) * victim.llc_intensity
-
-        capacity = self._platform.memory_bandwidth
-        own_bw = victim.total_membw(victim_cores)
-        aggressor_bw = sum(p.total_membw(c) for p, c in aggressors if c > 0)
-        total_util = (own_bw + aggressor_bw) / capacity if capacity > 0 else 0.0
-        own_util = own_bw / capacity if capacity > 0 else 0.0
-        membw_linear = max(0.0, total_util - own_util)
-        membw_overload = max(0.0, _overload(total_util) - _overload(own_util))
-
-        disk = self._bw_pressure(
-            victim.disk_bw,
-            sum(p.disk_bw for p, c in aggressors if c > 0),
-            self._platform.disk_bandwidth,
-        )
-        network = self._bw_pressure(
-            victim.network_bw,
-            sum(p.network_bw for p, c in aggressors if c > 0),
-            self._platform.network_bandwidth,
-        )
-        return PressureBreakdown(
-            llc=llc,
-            membw_linear=membw_linear,
-            membw_overload=membw_overload,
-            disk=disk,
-            network=network,
+        terms = [self.terms(profile, cores) for profile, cores in aggressors]
+        return self.pressure(
+            victim, victim_cores, self.reduce([t for t in terms if t is not None])
         )
 
     @staticmethod
-    def _bw_pressure(
+    def bw_pressure(
         victim_demand: float, aggressor_demand: float, capacity: float
     ) -> float:
         """Linear + overload pressure on a simple shared-bandwidth resource."""

@@ -26,6 +26,10 @@ class ServerNode:
         return self._platform
 
     @property
+    def interference(self) -> InterferenceModel:
+        return self._interference
+
+    @property
     def tenants(self) -> list[Tenant]:
         return list(self._tenants)
 

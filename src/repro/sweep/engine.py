@@ -37,15 +37,20 @@ from repro.sweep.grid import Scenario
 #: ``RuntimePolicy.name``.  Backing store for :func:`register_policy` —
 #: prefer the function over mutating this dict directly.
 POLICY_REGISTRY: dict[str, Callable[[Scenario, dict], RuntimePolicy]] = {
-    "pliant": lambda sc, kw: PliantPolicy(seed=sc.seed, **kw),
+    "pliant": lambda sc, kw: PliantPolicy(seed=sc.seed, **_with_slack(sc, kw)),
     "pliant-impact": lambda sc, kw: PliantPolicy(
-        seed=sc.seed, arbiter=ImpactAwareArbiter(), **kw
+        seed=sc.seed, arbiter=ImpactAwareArbiter(), **_with_slack(sc, kw)
     ),
     "precise": lambda sc, kw: PrecisePolicy(),
     "static-most-approx": lambda sc, kw: StaticMostApproxPolicy(),
     "static-level": lambda sc, kw: StaticLevelPolicy(dict(kw["levels"])),
-    "core-reclaim-only": lambda sc, kw: CoreReclaimOnlyPolicy(**kw),
+    "core-reclaim-only": lambda sc, kw: CoreReclaimOnlyPolicy(**_with_slack(sc, kw)),
 }
+
+
+def _with_slack(scenario: Scenario, kwargs: dict) -> dict:
+    """``kwargs`` plus the scenario's slack threshold, unless they set one."""
+    return {"slack_threshold": scenario.slack_threshold, **kwargs}
 
 
 def register_policy(

@@ -9,6 +9,7 @@ hash stably).  Sweeps over many scenarios are declared with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from repro.core.runtime import ColocationConfig
@@ -67,6 +68,25 @@ def _integral(value) -> int:
     return int(value)
 
 
+#: Offered load is a fraction of the service's saturation throughput.  Ten
+#: times saturation is far past any overload experiment; near 1e200 the
+#: backlog model overflows.
+_MAX_LOAD_FRACTION = 10.0
+
+#: (field, check, what it must be): the timing and load a run can honour.
+#: NaN fails every check.
+_PHYSICAL = (
+    (
+        "load_fraction",
+        lambda v: 0.0 <= v <= _MAX_LOAD_FRACTION,
+        f"a number in [0, {_MAX_LOAD_FRACTION:g}]",
+    ),
+    ("monitor_epoch", lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    ("decision_interval", lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    ("horizon", lambda v: v > 0.0, "a number > 0"),
+    ("slack_threshold", lambda v: 0.0 <= v < 1.0, "a number in [0, 1)"),
+)
+
 #: Marks a :meth:`Scenario.from_payload` field that has no default.
 _REQUIRED = object()
 
@@ -101,6 +121,25 @@ class Scenario:
         object.__setattr__(self, "apps", _normalize_mix(self.apps))
         if not self.apps:
             raise ValueError("a scenario needs at least one approximate app")
+        if len(set(self.apps)) != len(self.apps):
+            raise ValueError(
+                f"scenario field 'apps' names an app twice: {list(self.apps)}"
+            )
+        for name, holds, expected in _PHYSICAL:
+            value = getattr(self, name)
+            try:
+                ok = holds(float(value))
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"scenario field {name!r} must be {expected}, got {value!r}"
+                )
+        if math.isinf(self.horizon) and not self.stop_when_apps_done:
+            raise ValueError(
+                "scenario field 'horizon' is infinite while "
+                "stop_when_apps_done is False: the run would never end"
+            )
         if not isinstance(self.stop_when_apps_done, bool):
             raise ValueError(
                 f"scenario field 'stop_when_apps_done' must be a bool, "
@@ -227,7 +266,7 @@ class Scenario:
             value = payload[name]
             try:
                 return value if coerce is None else coerce(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"scenario field {name!r} is malformed ({value!r}): {exc}"
                 ) from None

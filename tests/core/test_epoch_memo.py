@@ -1,12 +1,13 @@
-"""The epoch loop's contention caches are never stale.
+"""The epoch loop's contention state is never stale.
 
-:class:`ColocationEngine` keeps every tenant's pressure, and what it
-derives from one, until a level switch, a core move, an app finishing or
-a new service operating point empties them.  The engine below forgets
-everything at the top of every epoch instead — service profile, every
-app's per-level profile, every pressure — which is what the
-loop did before it memoised anything.  Both must produce bit-identical
-results on runs that exercise all four invalidating changes.
+:class:`ColocationEngine` keeps contention in two levels (tenant side and
+service side), each recomputed only when its inputs move, and advances a
+segment of epochs at a time.  The engine below runs the loop as it was
+before any of that: one epoch per step, every profile rebuilt and
+:meth:`ServerNode.pressure_on` asked for every tenant, every epoch.  Both
+must produce bit-identical results on runs that exercise every change
+that moves contention (level switch, core move, app finishing, new
+service operating point).
 """
 
 from __future__ import annotations
@@ -14,30 +15,152 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import colocation
-from repro.core.runtime import ColocationEngine
-from repro.server.node import ServerNode
+from repro.core.runtime import (
+    _APP_PRESSURE_SENSITIVITY,
+    _IDLE_PROFILE,
+    _INFLATION_TIME_CONSTANT,
+    ColocationEngine,
+    IntervalRecord,
+)
+from repro.server.interference import InterferenceModel
 from repro.sweep import Scenario, results_identical, run_scenario
 
 from tests.integration.test_headline_results import PAIRS
 
 
 class AlwaysRecomputeEngine(ColocationEngine):
-    """Recomputes every profile and pressure fresh, every epoch."""
+    """The per-epoch loop, recomputing every profile and pressure each epoch."""
 
-    def _step_epoch(self, *args) -> None:
-        self._operating_point = None
+    #: Every instance built while the class is patched in.
+    instances: list["AlwaysRecomputeEngine"] = []
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.epochs = 0
+        self.pressure_calls = 0
+        AlwaysRecomputeEngine.instances.append(self)
+
+    def run(self):
+        cfg = self._config
+        epochs_per_interval = max(1, int(round(cfg.decision_interval / cfg.monitor_epoch)))
+        times, p99s, service_cores = [], [], []
+        app_levels = {n: [] for n in self._apps}
+        app_cores = {n: [] for n in self._apps}
+        intervals = []
+        min_cores = {n: sim.tenant.cores for n, sim in self._apps.items()}
+        max_reclaimed = {n: 0 for n in self._apps}
+        epoch_index = 0
+        while self._now < cfg.horizon:
+            self._epoch(epoch_index, times, p99s, service_cores, app_levels, app_cores)
+            for name, sim in self._apps.items():
+                min_cores[name] = min(min_cores[name], sim.tenant.cores)
+                max_reclaimed[name] = max(max_reclaimed[name], sim.tenant.reclaimed_cores)
+            epoch_index += 1
+            if epoch_index % epochs_per_interval == 0:
+                obs = self._monitor.close_interval(self._now)
+                before = self._action_fingerprint()
+                self._policy.on_interval(obs, self._actuator)
+                intervals.append(
+                    IntervalRecord(observation=obs, action_summary=self._describe_action(before))
+                )
+            if cfg.stop_when_apps_done and all(sim.finished for sim in self._apps.values()):
+                break
+        return self._result(
+            times, p99s, service_cores, app_levels, app_cores, intervals,
+            min_cores, max_reclaimed,
+        )
+
+    def _epoch(self, epoch_index, times, p99s, service_cores, app_levels, app_cores):
+        self.epochs += 1
+        dt = self._config.monitor_epoch
+        qps = self._loadgen.qps_at(self._now)
+        svc_cores = self._service_tenant.cores
+        self._service_tenant.set_profile(self._service.profile(qps, svc_cores))
         for sim in self._apps.values():
             sim._levels.clear()
             sim.tenant.set_profile(sim.active_profile())
-        self._invalidate()
-        super()._step_epoch(*args)
+        pressure = self._pressure(self._service.name)
+        raw_inflation = self._service.sensitivity.inflation(pressure)
+        alpha = min(1.0, dt / _INFLATION_TIME_CONSTANT)
+        self._inflation_ema += alpha * (raw_inflation - self._inflation_ema)
+        inflation = self._inflation_ema
+        capacity = self._service.saturation_qps(svc_cores) / inflation
+        self._backlog.update(qps, capacity, dt)
+        penalty = self._backlog.penalty(capacity)
+        sample = self._service.sample_p99(
+            qps, svc_cores, pressure, self._rng, dt,
+            backlog_penalty=penalty, inflation=inflation,
+        )
+        if self._monitor.should_sample(epoch_index):
+            self._monitor.record(sample)
+        for sim in self._apps.values():
+            self._advance(sim, dt)
+        times.append(self._now)
+        p99s.append(sample)
+        service_cores.append(svc_cores)
+        for name, sim in self._apps.items():
+            app_levels[name].append(sim.level)
+            app_cores[name].append(sim.tenant.cores)
+        self._now += dt
+
+    def _advance(self, sim, dt):
+        if sim.finished:
+            return
+        if sim.pause_remaining > 0:
+            consumed = min(sim.pause_remaining, dt)
+            sim.pause_remaining -= consumed
+            dt -= consumed
+            if dt <= 0:
+                return
+        dp = dt / self._fresh_exec_time(sim)
+        dp = min(dp, 1.0 - sim.progress)
+        sim.progress += dp
+        sim.inaccuracy_integral += dp * sim.variant().inaccuracy_pct
+        if sim.uses_elision():
+            sim.elided_progress += dp
+        if sim.progress >= 1.0 - 1e-12:
+            sim.finished = True
+            sim.finish_time = self._now + dt
+            sim.tenant.set_profile(_IDLE_PROFILE)
+
+    def _fresh_exec_time(self, sim):
+        return parent_exec_time(self, sim, self._pressure(sim.name))
+
+    def _pressure(self, name):
+        self.pressure_calls += 1
+        return self._node.pressure_on(name)
+
+
+def parent_exec_time(engine, sim, pressure) -> float:
+    """An app's execution time as the per-epoch loop computed it."""
+    metadata = sim.app.metadata
+    cores = sim.tenant.cores
+    nominal = sim.tenant.nominal_cores
+    p = metadata.parallel_fraction
+    amdahl_now = (1.0 - p) + p / max(cores, 1)
+    amdahl_nominal = (1.0 - p) + p / max(nominal, 1)
+    exec_time = metadata.nominal_exec_time * amdahl_now / amdahl_nominal
+    exec_time *= sim.variant().time_factor
+    if sim.instrumented:
+        exec_time *= engine._overhead.instrumentation_factor(metadata)
+    slowdown = 1.0 + _APP_PRESSURE_SENSITIVITY * (
+        0.5 * pressure.llc + pressure.membw_linear + pressure.membw_overload
+    )
+    return exec_time * slowdown
 
 
 def _run_both(scenario: Scenario, monkeypatch):
     cached = run_scenario(scenario)
+    AlwaysRecomputeEngine.instances.clear()
     with monkeypatch.context() as patch:
         patch.setattr(colocation, "ColocationEngine", AlwaysRecomputeEngine)
         fresh = run_scenario(scenario)
+    # The reference loop really ran, one epoch per step, asking
+    # ServerNode.pressure_on for every tenant every epoch.
+    (reference,) = AlwaysRecomputeEngine.instances
+    epochs = len(fresh.epoch_times)
+    assert reference.epochs == epochs > 0
+    assert reference.pressure_calls > epochs
     return cached, fresh
 
 
@@ -96,6 +219,62 @@ def test_varying_mixes_identical_to_always_recompute(monkeypatch):
     assert mid_interval_finishes > 0
 
 
+#: 3-app mixes under diurnal load for the whole horizon: apps finish while
+#: the others keep running, and the run goes on after the last one.
+OPEN_ENDED = [
+    Scenario(
+        service=service, apps=apps, policy=policy, seed=5,
+        loadgen_shape="diurnal", loadgen_params=LOADS["diurnal"],
+        horizon=70.0, stop_when_apps_done=False,
+    )
+    for service, apps in [
+        ("memcached", ("fasta", "birch", "fluidanimate")),
+        ("nginx", ("bayesian", "raytrace", "water_spatial")),
+    ]
+    for policy in ("pliant", "pliant-impact")
+]
+
+
+@pytest.mark.parametrize(
+    "scenario", OPEN_ENDED, ids=lambda s: f"{s.service}-{'+'.join(s.apps)}-{s.policy}"
+)
+def test_open_ended_diurnal_mixes_identical_to_always_recompute(scenario, monkeypatch):
+    cached, fresh = _run_both(scenario, monkeypatch)
+    assert results_identical(cached, fresh)
+    assert any(outcome.completed for outcome in cached.apps)
+
+
+def _count_terms(scenario: Scenario, monkeypatch):
+    """Run ``scenario``; return its result and the terms computed for the
+    apps and for the service."""
+    calls = []
+    original = InterferenceModel.terms
+
+    def counting(self, profile, cores):
+        calls.append(profile)
+        return original(self, profile, cores)
+
+    engines = []
+
+    class Recording(ColocationEngine):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(InterferenceModel, "terms", counting)
+    monkeypatch.setattr(colocation, "ColocationEngine", Recording)
+    result = run_scenario(scenario)
+    (engine,) = engines
+    # ``calls`` keeps every profile alive, so identities are unambiguous.
+    app_profiles = [_IDLE_PROFILE] + [
+        profile
+        for sim in engine._apps.values()
+        for profile, _ in sim._levels.values()
+    ]
+    app_calls = sum(1 for c in calls if any(c is p for p in app_profiles))
+    return result, app_calls, len(calls) - app_calls
+
+
 @pytest.mark.parametrize(
     "scenario",
     [
@@ -108,18 +287,25 @@ def test_varying_mixes_identical_to_always_recompute(monkeypatch):
     ids=lambda s: f"{s.service}-{'+'.join(s.apps)}-{s.policy}",
 )
 def test_pressure_recomputed_only_at_state_changes(scenario, monkeypatch):
-    calls = []
-    original = ServerNode.pressure_on
-
-    def counting(self, name):
-        calls.append(name)
-        return original(self, name)
-
-    monkeypatch.setattr(ServerNode, "pressure_on", counting)
-    result = run_scenario(scenario)
+    result, app_calls, service_calls = _count_terms(scenario, monkeypatch)
     decisions = len(result.intervals)
     finishes = sum(1 for outcome in result.apps if outcome.completed)
-    bound = (1 + len(scenario.apps)) * (decisions + finishes + 1)
-    assert 0 < len(calls) <= bound
-    # Far below the one call per tenant per epoch of an unmemoised loop.
-    assert len(calls) < len(result.epoch_times)
+    changes = decisions + finishes + 1
+    assert 0 < app_calls <= len(scenario.apps) * changes
+    # Under constant load the service's operating point moves only with
+    # its cores, so its side is recomputed at the same changes.
+    assert 0 < service_calls <= changes
+    # Far below the one refresh per epoch of an unmemoised loop.
+    assert service_calls < len(result.epoch_times)
+
+
+def test_app_terms_recomputed_only_at_tenant_changes_under_diurnal_load(monkeypatch):
+    scenario = OPEN_ENDED[0]
+    result, app_calls, service_calls = _count_terms(scenario, monkeypatch)
+    decisions = len(result.intervals)
+    finishes = sum(1 for outcome in result.apps if outcome.completed)
+    assert 0 < app_calls <= (decisions + finishes + 1) * len(scenario.apps)
+    # The service side follows the load, which moves every epoch, and is
+    # refreshed once more inside each epoch in which an app finishes.
+    epochs = len(result.epoch_times)
+    assert epochs <= service_calls <= epochs + finishes

@@ -19,23 +19,29 @@ from repro.cluster import ladder_for
 from repro.core.runtime import ColocationConfig, ColocationEngine
 from repro.server.platform import default_platform
 from repro.services import make_service
-from repro.services.loadgen import loadgen_from_spec
+from repro.services.loadgen import LoadGenerator, loadgen_from_spec
 from repro.sweep import Scenario
 from repro.sweep.engine import make_policy
 
 from tests.integration.test_headline_results import PAIRS
 
 
-class ProgressProbe(ColocationEngine):
-    """Records every app's progress after each epoch."""
+class ProgressProbe(LoadGenerator):
+    """Wraps the run's load; records every app's progress as each epoch
+    samples it, i.e. after every previous epoch."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, load: LoadGenerator, names: list[str]) -> None:
+        self.load = load
+        self.names = names
+        self.engine: ColocationEngine | None = None
         self.progress: list[list[float]] = []
 
-    def _step_epoch(self, *args) -> None:
-        super()._step_epoch(*args)
-        self.progress.append([sim.progress for sim in self._apps.values()])
+    def record(self) -> None:
+        self.progress.append([self.engine.app_sim(n).progress for n in self.names])
+
+    def qps_at(self, time: float) -> float:
+        self.record()
+        return self.load.qps_at(time)
 
 
 def _fraction(lo: float, hi: float):
@@ -92,7 +98,11 @@ def test_epoch_loop_invariants(pair, policy, load, decision_interval, seed):
     platform = default_platform()
     shares = platform.fair_share(2)
     ladder = ladder_for(app_name, seed=0)
-    engine = ProgressProbe(
+    probe = ProgressProbe(
+        loadgen_from_spec(shape, params, service.saturation_qps(shares[0])),
+        [app_name],
+    )
+    engine = probe.engine = ColocationEngine(
         service=service,
         apps=[(make_app(app_name), ladder)],
         policy=make_policy(
@@ -102,9 +112,11 @@ def test_epoch_loop_invariants(pair, policy, load, decision_interval, seed):
             seed=seed, decision_interval=decision_interval, horizon=60.0
         ),
         platform=platform,
-        loadgen=loadgen_from_spec(shape, params, service.saturation_qps(shares[0])),
+        loadgen=probe,
     )
     result = engine.run()
+    probe.record()
+    assert len(probe.progress) == len(result.epoch_times) + 1
 
     service_cores = result.epoch_service_cores
     app_cores = result.epoch_app_cores[app_name]
@@ -114,7 +126,7 @@ def test_epoch_loop_invariants(pair, policy, load, decision_interval, seed):
     levels = result.epoch_app_levels[app_name]
     assert levels.min() >= 0 and levels.max() <= ladder.max_level
 
-    progress = np.asarray(engine.progress)[:, 0]
+    progress = np.asarray(probe.progress)[:, 0]
     assert np.all(np.diff(progress) >= 0.0)
     assert progress.max() <= 1.0
 

@@ -26,6 +26,9 @@ RICH = Scenario(
     slack_threshold=0.07,
 )
 
+NAN = float("nan")
+INF = float("inf")
+
 #: The smallest valid payload: every other field takes its default.
 MINIMAL = {"service": "nginx", "apps": ["kmeans"]}
 
@@ -97,6 +100,24 @@ class TestRoundTrip:
             ("scenario", {**MINIMAL, "stop_when_apps_done": 1}, "stop_when_apps_done"),
             ("scenario", {"service": "nginx", "apps": [3]}, "apps"),
             ("scenario", {**MINIMAL, "seed": 1.5}, "seed"),
+            ("scenario", {**MINIMAL, "monitor_epoch": 0.0}, "monitor_epoch"),
+            ("scenario", {**MINIMAL, "monitor_epoch": NAN}, "monitor_epoch"),
+            ("scenario", {**MINIMAL, "monitor_epoch": -0.1}, "monitor_epoch"),
+            ("scenario", {**MINIMAL, "load_fraction": NAN}, "load_fraction"),
+            ("scenario", {**MINIMAL, "load_fraction": -0.5}, "load_fraction"),
+            ("scenario", {**MINIMAL, "load_fraction": 1e200}, "load_fraction"),
+            ("scenario", {**MINIMAL, "decision_interval": 0.0}, "decision_interval"),
+            ("scenario", {**MINIMAL, "decision_interval": -1.0}, "decision_interval"),
+            ("scenario", {**MINIMAL, "horizon": NAN}, "horizon"),
+            ("scenario", {**MINIMAL, "horizon": 0.0}, "horizon"),
+            ("scenario", {**MINIMAL, "horizon": -5.0}, "horizon"),
+            (
+                "scenario",
+                {**MINIMAL, "horizon": INF, "stop_when_apps_done": False},
+                "horizon",
+            ),
+            ("scenario", {**MINIMAL, "slack_threshold": 1.5}, "slack_threshold"),
+            ("scenario", {"service": "nginx", "apps": ["kmeans", "kmeans"]}, "apps"),
         ],
     )
     def test_malformed_payload_names_the_field(self, kind, payload, field):
@@ -128,6 +149,13 @@ class TestRoundTrip:
             json.dumps({"base": {**MINIMAL, "stop_when_apps_done": "false"}})
         )
         with pytest.raises(ValueError, match="stop_when_apps_done"):
+            spec.scenarios()
+
+    def test_non_physical_spec_axis_rejected(self):
+        spec = ExperimentSpec.from_json(
+            json.dumps({"base": MINIMAL, "axes": [["monitor_epoch", [0.1, 0.0]]]})
+        )
+        with pytest.raises(ValueError, match="monitor_epoch"):
             spec.scenarios()
 
     def test_unknown_loadgen_shape_rejected_at_construction(self):

@@ -75,7 +75,7 @@ class TestLLC:
         huge = ResourceProfile(
             llc_footprint_bytes=units.mb(500), llc_intensity=1.0
         )
-        assert model.llc_pollution([(huge, 16)]) <= 1.5
+        assert model.llc_pollution([model.terms(huge, 16)[0]]) <= 1.5
 
 
 class TestOverload:

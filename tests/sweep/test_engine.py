@@ -42,6 +42,28 @@ class TestPolicyRegistry:
         )
         assert make_policy(scenario).name == "core-reclaim-only"
 
+    @pytest.mark.parametrize("policy", ["pliant", "pliant-impact", "core-reclaim-only"])
+    def test_slack_threshold_reaches_the_policy(self, policy):
+        low, high = (
+            Scenario(
+                service="memcached", apps=("canneal",), policy=policy, seed=1,
+                slack_threshold=threshold,
+            )
+            for threshold in (0.02, 0.40)
+        )
+        assert make_policy(low).slack_threshold == 0.02
+        assert make_policy(high).slack_threshold == 0.40
+        assert not results_identical(run_scenario(low), run_scenario(high))
+
+    def test_explicit_slack_threshold_kwarg_takes_precedence(self):
+        scenario = Scenario(
+            service="nginx",
+            apps=("kmeans",),
+            slack_threshold=0.02,
+            policy_kwargs=(("slack_threshold", 0.2),),
+        )
+        assert make_policy(scenario).slack_threshold == 0.2
+
     def test_unknown_policy_raises_with_known_names(self):
         scenario = Scenario(service="nginx", apps=("kmeans",), policy="nope")
         with pytest.raises(ValueError, match="pliant"):

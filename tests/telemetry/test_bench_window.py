@@ -119,3 +119,33 @@ def _trajectory(path: Path, **entry) -> Path:
 def test_bench_check_bounds_engine_wall(tmp_path, entry, ok):
     problems = _bench_check().check(_trajectory(tmp_path / "BENCH.json", **entry))
     assert (problems == []) == ok, problems
+
+
+PERFBENCH = {
+    "label": "perfbench",
+    "workload": "mixes-varying",
+    "seed": 1,
+    "seconds": 10.0,
+    "revision": "83bde59",
+    "scenarios_per_s": 191.7,
+    "setup_s": 0.41,
+    "peak_rss_mb": 47.2,
+}
+
+
+@pytest.mark.parametrize(
+    "change, ok",
+    [
+        ({}, True),
+        ({"workload": "fleet-long"}, False),
+        ({"seed": 1.5}, False),
+        ({"seconds": 0}, False),
+        ({"revision": ""}, False),
+        ({"scenarios_per_s": None}, False),
+        ({"peak_rss_mb": -1.0}, False),
+    ],
+)
+def test_bench_check_validates_perfbench_entries(tmp_path, change, ok):
+    entry = {**PERFBENCH, **change}
+    problems = _bench_check().check(_trajectory(tmp_path / "BENCH.json", **entry))
+    assert (problems == []) == ok, problems

@@ -61,10 +61,11 @@ class TestSwitchPauseConsumption:
         )
         sim = engine.app_sim("kmeans")
         sim.pause_remaining = 0.25
-        engine._advance_app(sim, 0.1)
+        level = (sim.variant().inaccuracy_pct, sim.uses_elision())
+        engine._advance_app(sim, 0.1, *level)
         assert sim.progress == 0.0
         assert sim.pause_remaining == pytest.approx(0.15)
-        engine._advance_app(sim, 0.2)
+        engine._advance_app(sim, 0.2, *level)
         assert sim.progress > 0.0
         assert sim.pause_remaining == 0.0
 
