@@ -2,7 +2,9 @@
 
 * :mod:`repro.core.monitor` — client-side latency monitor (Section 4.1)
 * :mod:`repro.core.actuator` — variant switching + core reallocation
-* :mod:`repro.core.controller` — the Fig. 3 single-app state machine
+* :mod:`repro.core.controller` — the Fig. 3 reference state machine and
+  the action vocabulary (:class:`ControllerAction`) every arbiter decision
+  is stated in
 * :mod:`repro.core.arbiter` — Section 4.4 round-robin multi-app policy
 * :mod:`repro.core.runtime` — the epoch-driven colocation engine
 * :mod:`repro.core.baselines` — Precise / ablation policies

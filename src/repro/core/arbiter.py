@@ -18,8 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.core.controller import ControllerAction
 from repro.rng import child_generator
 
 
@@ -47,15 +46,18 @@ class AppView:
 
 @dataclass(frozen=True)
 class ArbiterDecision:
-    """One action against one application (or nothing)."""
+    """One Fig. 3 action against one application (``HOLD``: none).
 
-    action: str  # "none" | "set_level" | "reclaim_core" | "return_core"
+    The kind fixes the target level: the app's ``max_level`` for
+    ``JUMP_TO_MOST_APPROX``, one below its current level for
+    ``STEP_TOWARD_PRECISE``.
+    """
+
+    kind: ControllerAction
     app_name: str = ""
-    level: int = 0
 
-    @classmethod
-    def none(cls) -> "ArbiterDecision":
-        return cls(action="none")
+
+HOLD = ArbiterDecision(ControllerAction.HOLD)
 
 
 class Arbiter(ABC):
@@ -86,14 +88,12 @@ class RoundRobinArbiter(Arbiter):
         if below_max:
             chosen = self._rotate(sorted(a.name for a in below_max))
             target = next(a for a in below_max if a.name == chosen)
-            return ArbiterDecision(
-                action="set_level", app_name=target.name, level=target.max_level
-            )
+            return ArbiterDecision(ControllerAction.JUMP_TO_MOST_APPROX, target.name)
         reclaimable = [a for a in apps if a.cores > 1]
         if reclaimable:
             chosen = self._rotate(sorted(a.name for a in reclaimable))
-            return ArbiterDecision(action="reclaim_core", app_name=chosen)
-        return ArbiterDecision.none()
+            return ArbiterDecision(ControllerAction.RECLAIM_CORE, chosen)
+        return HOLD
 
     def deescalate(self, apps: list[AppView]) -> ArbiterDecision:
         # Cores come back first (most-reclaimed application first, so the
@@ -101,14 +101,12 @@ class RoundRobinArbiter(Arbiter):
         reclaimed = [a for a in apps if a.reclaimed > 0]
         if reclaimed:
             target = max(reclaimed, key=lambda a: (a.reclaimed, a.name))
-            return ArbiterDecision(action="return_core", app_name=target.name)
+            return ArbiterDecision(ControllerAction.RETURN_CORE, target.name)
         approximated = [a for a in apps if a.level > 0]
         if approximated:
             target = max(approximated, key=lambda a: (a.level, a.name))
-            return ArbiterDecision(
-                action="set_level", app_name=target.name, level=target.level - 1
-            )
-        return ArbiterDecision.none()
+            return ArbiterDecision(ControllerAction.STEP_TOWARD_PRECISE, target.name)
+        return HOLD
 
 
 class ImpactAwareArbiter(Arbiter):
@@ -123,29 +121,25 @@ class ImpactAwareArbiter(Arbiter):
         below_max = [a for a in apps if not a.at_max_level]
         if below_max:
             target = max(below_max, key=self._relief_per_quality)
-            return ArbiterDecision(
-                action="set_level", app_name=target.name, level=target.max_level
-            )
+            return ArbiterDecision(ControllerAction.JUMP_TO_MOST_APPROX, target.name)
         reclaimable = [a for a in apps if a.cores > 1]
         if reclaimable:
             # Take the core from the app with the most cores left.
             target = max(reclaimable, key=lambda a: (a.cores, a.name))
-            return ArbiterDecision(action="reclaim_core", app_name=target.name)
-        return ArbiterDecision.none()
+            return ArbiterDecision(ControllerAction.RECLAIM_CORE, target.name)
+        return HOLD
 
     def deescalate(self, apps: list[AppView]) -> ArbiterDecision:
         reclaimed = [a for a in apps if a.reclaimed > 0]
         if reclaimed:
             target = max(reclaimed, key=lambda a: (a.reclaimed, a.name))
-            return ArbiterDecision(action="return_core", app_name=target.name)
+            return ArbiterDecision(ControllerAction.RETURN_CORE, target.name)
         approximated = [a for a in apps if a.level > 0]
         if approximated:
             # Relax the app sacrificing the most quality right now.
             target = max(approximated, key=self._current_quality_cost)
-            return ArbiterDecision(
-                action="set_level", app_name=target.name, level=target.level - 1
-            )
-        return ArbiterDecision.none()
+            return ArbiterDecision(ControllerAction.STEP_TOWARD_PRECISE, target.name)
+        return HOLD
 
     @staticmethod
     def _relief_per_quality(app: AppView) -> float:

@@ -40,7 +40,7 @@ class StaticMostApproxPolicy(RuntimePolicy):
         if self._applied:
             return
         for name in actuator.running_apps():
-            actuator.set_level(name, actuator.max_level(name))
+            actuator.set_level(name, actuator.app_view(name).max_level)
         self._applied = True
 
 
@@ -73,25 +73,17 @@ class CoreReclaimOnlyPolicy(RuntimePolicy):
         self.slack_threshold = slack_threshold
 
     def on_interval(self, obs: IntervalObservation, actuator: Actuator) -> None:
-        apps = actuator.running_apps()
+        apps = [actuator.app_view(name) for name in actuator.running_apps()]
         if not apps:
             return
         if not obs.qos_met:
-            candidates = [n for n in apps if actuator.cores_of(n) > 1]
+            candidates = [a for a in apps if a.cores > 1]
             if candidates:
                 # Take from the app with the most cores remaining.
-                target = max(candidates, key=lambda n: (actuator.cores_of(n), n))
-                actuator.reclaim_core(target)
+                target = max(candidates, key=lambda a: (a.cores, a.name))
+                actuator.reclaim_core(target.name)
         elif obs.slack > self.slack_threshold:
-            reclaimed = [
-                n for n in apps if actuator.cores_of(n) < actuator.nominal_cores(n)
-            ]
+            reclaimed = [a for a in apps if a.reclaimed > 0]
             if reclaimed:
-                target = max(
-                    reclaimed,
-                    key=lambda n: (
-                        actuator.nominal_cores(n) - actuator.cores_of(n),
-                        n,
-                    ),
-                )
-                actuator.return_core(target)
+                target = max(reclaimed, key=lambda a: (a.reclaimed, a.name))
+                actuator.return_core(target.name)

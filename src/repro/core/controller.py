@@ -9,6 +9,12 @@ State is (approximation level, reclaimed cores).  Transitions:
 * QoS met with slack > threshold     -> undo: return a reclaimed core
   first; once all cores are back, step one level toward precise.
 * QoS met without sufficient slack   -> hold state.
+
+:class:`PliantController` is the Fig. 3 reference:
+:class:`~repro.core.policy.PliantPolicy` runs the same loop through an
+arbiter (Section 4.4), and a differential test holds its single-app
+transitions to this machine's.  :class:`ControllerAction` is the
+vocabulary arbiters state their decisions in.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 from repro.core.actuator import Actuator
-from repro.core.arbiter import Arbiter, RoundRobinArbiter
+from repro.core.arbiter import AppView, Arbiter, ArbiterDecision, RoundRobinArbiter
+from repro.core.controller import ControllerAction
 from repro.core.monitor import IntervalObservation
 
 
@@ -83,7 +84,7 @@ class PliantPolicy(RuntimePolicy):
                     self._max_backoff, max(self._min_backoff, self._backoff * 4)
                 )
             self._block_remaining = self._backoff
-            self._apply(self._arbiter.escalate(apps), actuator)
+            self._apply(self._arbiter.escalate(apps), apps, actuator)
             return
         self._stable_intervals += 1
         if self._stable_intervals >= 16 and self._backoff > self._min_backoff:
@@ -93,14 +94,22 @@ class PliantPolicy(RuntimePolicy):
             if self._block_remaining > 0:
                 self._block_remaining -= 1
                 return
-            self._apply(self._arbiter.deescalate(apps), actuator)
+            self._apply(self._arbiter.deescalate(apps), apps, actuator)
             self._since_deescalation = 0
 
     @staticmethod
-    def _apply(decision, actuator: Actuator) -> None:
-        if decision.action == "set_level":
-            actuator.set_level(decision.app_name, decision.level)
-        elif decision.action == "reclaim_core":
-            actuator.reclaim_core(decision.app_name)
-        elif decision.action == "return_core":
-            actuator.return_core(decision.app_name)
+    def _apply(
+        decision: ArbiterDecision, apps: list[AppView], actuator: Actuator
+    ) -> None:
+        kind, name = decision.kind, decision.app_name
+        if kind is ControllerAction.HOLD:
+            return
+        view = next(a for a in apps if a.name == name)
+        if kind is ControllerAction.JUMP_TO_MOST_APPROX:
+            actuator.set_level(name, view.max_level)
+        elif kind is ControllerAction.STEP_TOWARD_PRECISE:
+            actuator.set_level(name, view.level - 1)
+        elif kind is ControllerAction.RECLAIM_CORE:
+            actuator.reclaim_core(name)
+        elif kind is ControllerAction.RETURN_CORE:
+            actuator.return_core(name)

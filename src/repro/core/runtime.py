@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.base import ApproximableApp
-from repro.config import RuntimeDefaults
 from repro.core.actuator import Actuator
 from repro.core.arbiter import AppView
 from repro.core.monitor import IntervalObservation, PerformanceMonitor
@@ -260,19 +259,9 @@ class ColocationConfig:
     load_fraction: float = 0.775
     decision_interval: float = 1.0
     monitor_epoch: float = 0.1
-    slack_threshold: float = 0.10
     horizon: float = 400.0
     seed: int = 0
     stop_when_apps_done: bool = True
-
-    @classmethod
-    def from_defaults(cls, defaults: RuntimeDefaults) -> "ColocationConfig":
-        return cls(
-            load_fraction=defaults.load_fraction,
-            decision_interval=defaults.decision_interval,
-            monitor_epoch=defaults.monitor_epoch,
-            slack_threshold=defaults.slack_threshold,
-        )
 
 
 class ColocationEngine:
@@ -352,10 +341,6 @@ class ColocationEngine:
         self._raw_inflation = 1.0
 
     # -- facade used by the actuator -------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     @property
     def service_cores(self) -> int:

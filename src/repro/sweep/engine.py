@@ -15,8 +15,10 @@ bit-identical results and caching is sound.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.core.arbiter import ImpactAwareArbiter
 from repro.telemetry import get_recorder
@@ -127,49 +129,28 @@ def results_identical(a: ColocationResult, b: ColocationResult) -> bool:
     """Strict bit-level equality of two colocation results.
 
     Used to assert that serial and parallel sweeps of the same grid are
-    indistinguishable (the determinism contract of the engine).
+    indistinguishable (the determinism contract of the engine).  Walks
+    every dataclass field, so a field added later is compared too.
     """
-    import numpy as np
+    return _identical(a, b)
 
-    if (
-        a.service_name != b.service_name
-        or a.policy_name != b.policy_name
-        or a.qos != b.qos
-        or a.offered_qps != b.offered_qps
-    ):
+
+def _identical(a, b) -> bool:
+    """Arrays by ``np.array_equal``; dataclasses field by field; dicts and
+    lists element by element, in order; everything else by ``==``."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if not (is_dataclass(a) or isinstance(a, (dict, list, tuple))):
+        return bool(a == b)
+    if type(a) is not type(b):
         return False
-    for x, y in (
-        (a.epoch_times, b.epoch_times),
-        (a.epoch_p99, b.epoch_p99),
-        (a.epoch_service_cores, b.epoch_service_cores),
-    ):
-        if not np.array_equal(x, y):
-            return False
-    for mapping_a, mapping_b in (
-        (a.epoch_app_levels, b.epoch_app_levels),
-        (a.epoch_app_cores, b.epoch_app_cores),
-    ):
-        if mapping_a.keys() != mapping_b.keys():
-            return False
-        if any(not np.array_equal(mapping_a[k], mapping_b[k]) for k in mapping_a):
-            return False
-    if len(a.intervals) != len(b.intervals) or len(a.apps) != len(b.apps):
-        return False
-    for ra, rb in zip(a.intervals, b.intervals):
-        if ra.observation != rb.observation or ra.action_summary != rb.action_summary:
-            return False
-    for oa, ob in zip(a.apps, b.apps):
-        if (
-            oa.name != ob.name
-            or oa.finish_time != ob.finish_time
-            or oa.inaccuracy_pct != ob.inaccuracy_pct
-            or oa.switches != ob.switches
-            or oa.min_cores != ob.min_cores
-            or oa.max_reclaimed != ob.max_reclaimed
-            or oa.level_trace != ob.level_trace
-        ):
-            return False
-    return True
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_identical(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    return all(_identical(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 @dataclass

@@ -167,7 +167,6 @@ class Scenario:
             load_fraction=self.load_fraction,
             decision_interval=self.decision_interval,
             monitor_epoch=self.monitor_epoch,
-            slack_threshold=self.slack_threshold,
             horizon=self.horizon,
             seed=self.seed,
             stop_when_apps_done=self.stop_when_apps_done,

@@ -1,4 +1,4 @@
-"""Actuator: signal-driven switching, core moves, audit log."""
+"""Actuator: signal-driven switching, core moves, the policy's app view."""
 
 import pytest
 
@@ -22,12 +22,12 @@ class TestSetLevel:
         assert sim.level == 1
         assert sim.instrumentor.active_level == 1
         assert sim.pause_remaining > 0
-        assert actuator.log.switches_for("kmeans") == 1
+        assert sim.level_trace == [(0.0, 1)]
 
     def test_noop_switch_free(self, engine):
         actuator = engine._actuator
         actuator.set_level("kmeans", 0)
-        assert actuator.log.switches_for("kmeans") == 0
+        assert engine.app_sim("kmeans").level_trace == []
         assert engine.app_sim("kmeans").pause_remaining == 0
 
     def test_profile_rescaled(self, engine):
@@ -47,27 +47,28 @@ class TestCoreMoves:
     def test_reclaim_and_return(self, engine):
         actuator = engine._actuator
         actuator.reclaim_core("kmeans")
-        assert actuator.cores_of("kmeans") == 7
+        assert actuator.app_view("kmeans").cores == 7
         assert actuator.service_cores == 9
         actuator.return_core("kmeans")
-        assert actuator.cores_of("kmeans") == 8
+        assert actuator.app_view("kmeans").cores == 8
         assert actuator.service_cores == 8
 
-    def test_log_records_direction(self, engine):
+    def test_moves_shift_one_core_each_way(self, engine):
         actuator = engine._actuator
-        actuator.reclaim_core("kmeans")
-        actuator.return_core("kmeans")
-        deltas = [delta for _, _, delta in actuator.log.core_moves]
-        assert deltas == [-1, +1]
+        reclaimed = []
+        for move in ("reclaim_core", "reclaim_core", "return_core"):
+            getattr(actuator, move)("kmeans")
+            reclaimed.append(actuator.app_view("kmeans").reclaimed)
+        assert reclaimed == [1, 2, 1]
 
 
 class TestObservation:
     def test_views(self, engine):
         actuator = engine._actuator
         assert actuator.running_apps() == ["kmeans"]
-        assert actuator.level_of("kmeans") == 0
-        assert actuator.max_level("kmeans") >= 1
-        assert actuator.nominal_cores("kmeans") == 8
         view = actuator.app_view("kmeans")
         assert view.name == "kmeans"
-        assert len(view.level_inaccuracies) == actuator.max_level("kmeans") + 1
+        assert view.level == 0
+        assert view.max_level >= 1
+        assert view.nominal_cores == 8
+        assert len(view.level_inaccuracies) == view.max_level + 1

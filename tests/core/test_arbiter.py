@@ -1,6 +1,7 @@
 """Round-robin and impact-aware multi-app arbitration (Section 4.4/6.5)."""
 
 from repro.core.arbiter import AppView, ImpactAwareArbiter, RoundRobinArbiter
+from repro.core.controller import ControllerAction
 
 
 def view(name, level=0, max_level=4, cores=4, nominal=4, inaccs=(), rates=()):
@@ -20,8 +21,7 @@ class TestRoundRobinEscalation:
         arbiter = RoundRobinArbiter(seed=0)
         apps = [view("a"), view("b")]
         decision = arbiter.escalate(apps)
-        assert decision.action == "set_level"
-        assert decision.level == 4
+        assert decision.kind is ControllerAction.JUMP_TO_MOST_APPROX
 
     def test_rotates_between_apps(self):
         arbiter = RoundRobinArbiter(seed=0)
@@ -34,7 +34,7 @@ class TestRoundRobinEscalation:
         arbiter = RoundRobinArbiter(seed=0)
         apps = [view("a", level=4), view("b", level=4)]
         decision = arbiter.escalate(apps)
-        assert decision.action == "reclaim_core"
+        assert decision.kind is ControllerAction.RECLAIM_CORE
 
     def test_skips_single_core_apps(self):
         arbiter = RoundRobinArbiter(seed=0)
@@ -46,7 +46,7 @@ class TestRoundRobinEscalation:
     def test_none_when_exhausted(self):
         arbiter = RoundRobinArbiter(seed=0)
         apps = [view("a", level=4, cores=1)]
-        assert arbiter.escalate(apps).action == "none"
+        assert arbiter.escalate(apps).kind is ControllerAction.HOLD
 
 
 class TestRoundRobinDeescalation:
@@ -54,7 +54,7 @@ class TestRoundRobinDeescalation:
         arbiter = RoundRobinArbiter(seed=0)
         apps = [view("a", level=4, cores=2, nominal=4), view("b", level=4)]
         decision = arbiter.deescalate(apps)
-        assert decision.action == "return_core"
+        assert decision.kind is ControllerAction.RETURN_CORE
         assert decision.app_name == "a"
 
     def test_most_reclaimed_first(self):
@@ -69,12 +69,12 @@ class TestRoundRobinDeescalation:
         arbiter = RoundRobinArbiter(seed=0)
         apps = [view("a", level=3)]
         decision = arbiter.deescalate(apps)
-        assert decision.action == "set_level"
-        assert decision.level == 2
+        assert decision.kind is ControllerAction.STEP_TOWARD_PRECISE
+        assert decision.app_name == "a"
 
     def test_none_when_fully_relaxed(self):
         arbiter = RoundRobinArbiter(seed=0)
-        assert arbiter.deescalate([view("a")]).action == "none"
+        assert arbiter.deescalate([view("a")]).kind is ControllerAction.HOLD
 
 
 class TestFairness:
@@ -90,9 +90,9 @@ class TestFairness:
                 view(n, level=levels[n], cores=cores[n]) for n in sorted(levels)
             ]
             decision = arbiter.escalate(apps)
-            if decision.action == "set_level":
-                levels[decision.app_name] = decision.level
-            elif decision.action == "reclaim_core":
+            if decision.kind is ControllerAction.JUMP_TO_MOST_APPROX:
+                levels[decision.app_name] = 4
+            elif decision.kind is ControllerAction.RECLAIM_CORE:
                 cores[decision.app_name] -= 1
         assert max(levels.values()) == min(levels.values())  # all maxed
         assert max(cores.values()) - min(cores.values()) <= 1
@@ -124,5 +124,5 @@ class TestImpactAware:
             view("b", level=1, max_level=1, cores=2),
         ]
         decision = arbiter.escalate(apps)
-        assert decision.action == "reclaim_core"
+        assert decision.kind is ControllerAction.RECLAIM_CORE
         assert decision.app_name == "a"  # most cores remaining

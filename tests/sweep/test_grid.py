@@ -36,7 +36,6 @@ class TestScenario:
             load_fraction=0.6,
             decision_interval=2.0,
             monitor_epoch=0.2,
-            slack_threshold=0.15,
             horizon=120.0,
             seed=9,
             stop_when_apps_done=False,

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.monitor import PerformanceMonitor
 from repro.core.arbiter import AppView, ImpactAwareArbiter
+from repro.core.controller import ControllerAction
 from repro.search.variants import default_cache_dir
 
 
@@ -23,21 +24,21 @@ class TestImpactAwareWithoutMetadata:
         arbiter = ImpactAwareArbiter()
         bare = AppView(name="bare", level=0, max_level=2, cores=4, nominal_cores=4)
         decision = arbiter.escalate([bare])
-        assert decision.action == "set_level"
-        assert decision.level == 2
+        assert decision.kind is ControllerAction.JUMP_TO_MOST_APPROX
+        assert decision.app_name == "bare"
 
     def test_deescalate_without_metadata(self):
         arbiter = ImpactAwareArbiter()
         bare = AppView(name="bare", level=1, max_level=2, cores=4, nominal_cores=4)
         decision = arbiter.deescalate([bare])
-        assert decision.action == "set_level"
-        assert decision.level == 0
+        assert decision.kind is ControllerAction.STEP_TOWARD_PRECISE
+        assert decision.app_name == "bare"
 
     def test_none_when_nothing_to_do(self):
         arbiter = ImpactAwareArbiter()
         relaxed = AppView(name="a", level=0, max_level=0, cores=1, nominal_cores=1)
-        assert arbiter.escalate([relaxed]).action == "none"
-        assert arbiter.deescalate([relaxed]).action == "none"
+        assert arbiter.escalate([relaxed]).kind is ControllerAction.HOLD
+        assert arbiter.deescalate([relaxed]).kind is ControllerAction.HOLD
 
 
 class TestCacheDirOverride:
