@@ -151,10 +151,13 @@ def test_sweep_engine_speedup(capsys):
 
 
 def _dist_spec() -> ExperimentSpec:
-    """64 scenarios: big enough that chunked leases amortize the broker."""
+    """64 scenarios, each simulating the whole 600 s horizon (open-ended,
+    not stopping when the apps finish), so that each is worth tens of
+    milliseconds of simulation and the fleet's fixed spool and polling
+    cost is small beside the work it spreads."""
     return ExperimentSpec(
         name="distributed-vs-serial",
-        base={"policy": "pliant"},
+        base={"policy": "pliant", "horizon": 600.0, "stop_when_apps_done": False},
         axes={
             "service": ("memcached", "mongodb"),
             "apps": ("canneal", "kmeans"),

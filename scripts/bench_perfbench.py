@@ -10,6 +10,11 @@ host's ``cpu_count``, and ``scenarios_per_s``, ``setup_s`` and
 ``--root`` at a checkout of the parent commit records the "before" side
 of a speedup claim on the same host.
 
+Each checkout's ``src/`` is byte-compiled first.  ``setup_s`` includes
+importing the package, which costs more without ``.pyc`` files (a fresh
+``git archive`` copy, or any checkout run with ``PYTHONDONTWRITEBYTECODE``
+set), so two checkouts are only comparable in the same bytecode state.
+
 Usage: python scripts/bench_perfbench.py [--root DIR]
 """
 
@@ -51,6 +56,13 @@ def revision(root: Path) -> str:
     return _git(root, "rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
 
 
+def compile_sources(root: Path) -> None:
+    """Byte-compile ``root``'s ``src/`` so imports read ``.pyc`` files."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src"], cwd=root, check=True
+    )
+
+
 def measure(root: Path, workload: str) -> dict:
     """One ``--trace 0`` run of ``workload``: perfbench's final JSON line."""
     proc = subprocess.run(
@@ -72,6 +84,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     rev = revision(root)
+    compile_sources(root)
     for workload in WORKLOADS:
         result = measure(root, workload)
         metrics = {name: round(result["metrics"][name]["value"], 4) for name in METRICS}

@@ -12,7 +12,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+
+def _pairwise_sum(values: list[float], start: int, count: int) -> float:
+    """The sum of ``values[start:start + count]``, added in the order of
+    numpy's float64 pairwise sum (8 accumulators up to 128 values, halves
+    above), so :func:`_mean` equals ``np.mean`` bit for bit.  A plain
+    left-to-right sum rounds differently on some inputs."""
+    if count < 8:
+        total = 0.0
+        for value in values[start:start + count]:
+            total += value
+        return total
+    if count <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        end = start + count - count % 8
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for value in values[end:start + count]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, count - half
+    )
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` of a non-empty list, without numpy."""
+    # numpy's reduction adds the sum to its identity 0.0 (so -0.0 -> 0.0).
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
 
 
 @dataclass(frozen=True)
@@ -53,28 +90,22 @@ class PerformanceMonitor:
         if self.qos <= 0:
             raise ValueError("qos must be positive")
 
-    def should_sample(self, epoch_index: int) -> bool:
-        """Adaptive sampling: near the QoS boundary every epoch counts;
-        far from it, every other epoch suffices."""
-        if not self.adaptive:
-            return True
-        if abs(self._last_slack) <= 0.25:
-            return True
-        return epoch_index % 2 == 0
+    @property
+    def samples_every_epoch(self) -> bool:
+        """Adaptive sampling: near the QoS boundary every epoch counts; far
+        from it, every other (even-indexed) epoch suffices.  Moves only
+        when an interval closes."""
+        return not self.adaptive or abs(self._last_slack) <= 0.25
 
     def record(self, p99_sample: float) -> None:
         if p99_sample < 0:
             raise ValueError("latency samples must be non-negative")
         self._samples.append(p99_sample)
 
-    @property
-    def pending_samples(self) -> int:
-        return len(self._samples)
-
     def close_interval(self, time: float) -> IntervalObservation:
         """Fold the pending samples into one observation and reset."""
         if self._samples:
-            p99 = float(np.mean(self._samples))
+            p99 = _mean(self._samples)
             count = len(self._samples)
         else:
             # No samples this interval (fully backed-off monitor): assume
@@ -92,9 +123,3 @@ class PerformanceMonitor:
     @property
     def history(self) -> list[IntervalObservation]:
         return list(self._history)
-
-    def qos_met_fraction(self) -> float:
-        if not self._history:
-            return 1.0
-        met = sum(1 for obs in self._history if obs.qos_met)
-        return met / len(self._history)

@@ -12,7 +12,9 @@ Each epoch the engine:
    (load, cores) moved, refreshes the service's resource profile,
 2. computes the contention pressure on the service, its service-time
    inflation, utilization and saturation backlog,
-3. draws a noisy p99 latency observation for the monitor, and
+3. draws a noisy p99 latency observation for the monitor (the noise's
+   parameters follow the load, the draws come from a block-drawn stream),
+   and
 4. advances each application's logical progress at a rate set by its core
    allocation (Amdahl), active variant (measured time factor), DynamoRIO
    overhead (when instrumented) and the contention it suffers itself.
@@ -55,7 +57,7 @@ from repro.dynrio.instrument import Instrumentor
 from repro.dynrio.overhead import OverheadModel
 from repro.dynrio.signals import SignalBus
 from repro.search.ladder import ApproxLadder
-from repro.rng import child_generator
+from repro.rng import NormalStream, child_generator
 from repro.server.interference import PressureBreakdown, Terms
 from repro.server.node import ServerNode
 from repro.server.platform import Platform, default_platform
@@ -112,6 +114,15 @@ class AppSim:
     _levels: dict[int, tuple[ResourceProfile, bool]] = field(
         default_factory=dict, repr=False
     )
+    #: Per-level measured factors for the arbiters' views (nothing changes
+    #: a ladder's levels during a run).
+    level_inaccuracies: tuple[float, ...] = field(init=False, repr=False)
+    level_traffic_rates: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        levels = self.ladder.levels
+        self.level_inaccuracies = tuple(v.inaccuracy_pct for v in levels)
+        self.level_traffic_rates = tuple(v.traffic_rate_factor for v in levels)
 
     @property
     def name(self) -> str:
@@ -283,7 +294,9 @@ class ColocationEngine:
         self._config = config or ColocationConfig()
         self._platform = platform or default_platform()
         self._node = ServerNode(self._platform)
-        self._rng = child_generator(self._config.seed, f"engine/{service.name}")
+        self._rng = NormalStream(
+            child_generator(self._config.seed, f"engine/{service.name}")
+        )
         self._overhead = OverheadModel()
         self._bus = SignalBus()
         self._now = 0.0
@@ -360,12 +373,8 @@ class ColocationEngine:
             max_level=sim.ladder.max_level,
             cores=sim.tenant.cores,
             nominal_cores=sim.tenant.nominal_cores,
-            level_inaccuracies=tuple(
-                v.inaccuracy_pct for v in sim.ladder.levels
-            ),
-            level_traffic_rates=tuple(
-                v.traffic_rate_factor for v in sim.ladder.levels
-            ),
+            level_inaccuracies=sim.level_inaccuracies,
+            level_traffic_rates=sim.level_traffic_rates,
         )
 
     def apply_level(self, name: str, level: int) -> None:
@@ -398,6 +407,10 @@ class ColocationEngine:
         qps_at = self._loadgen.qps_at
         backlog = self._backlog
         monitor = self._monitor
+        record = monitor.record
+        curve = service.curve
+        rng = self._rng
+        noise = curve.noise(self._operating_point[0] * dt)
         times: list[float] = []
         p99s: list[float] = []
         service_cores: list[int] = []
@@ -414,6 +427,7 @@ class ColocationEngine:
             # inside it, so every tenant's cores and level hold still.
             svc_cores = service_tenant.cores
             saturation = service.saturation_qps(svc_cores)
+            sample_all = monitor.samples_every_epoch
             # Levels hold still too, and with them what each app's level
             # implies for its progress.
             lanes = [
@@ -428,23 +442,19 @@ class ColocationEngine:
                     self._operating_point = (qps, svc_cores)
                     service_tenant.set_profile(service.profile(qps, svc_cores))
                     self._service_fresh = False
+                    noise = curve.noise(qps * dt)
                 if not self._service_fresh:
                     self._refresh_service()
                 self._inflation_ema += alpha * (self._raw_inflation - self._inflation_ema)
                 inflation = self._inflation_ema
                 capacity = saturation / inflation
                 backlog.update(qps, capacity, dt)
-                sample = service.sample_p99(
-                    qps,
-                    svc_cores,
-                    self._service_pressure,
-                    self._rng,
-                    dt,
-                    backlog_penalty=backlog.penalty(capacity),
-                    inflation=inflation,
+                # InteractiveService.sample_p99, from the segment's pieces.
+                sample = curve.sample(
+                    qps * inflation / saturation, noise, backlog.penalty(capacity), rng
                 )
-                if monitor.should_sample(epoch_index):
-                    monitor.record(sample)
+                if sample_all or epoch_index % 2 == 0:
+                    record(sample)
                 finished = False
                 for sim, inaccuracy, elided in lanes:
                     finished |= self._advance_app(sim, dt, inaccuracy, elided)

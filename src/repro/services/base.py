@@ -177,12 +177,8 @@ class InteractiveService(ABC):
     ) -> float:
         """One noisy epoch observation (what the monitor's client sees)."""
         utilization = self.utilization(qps, cores, pressure, inflation)
-        return self.curve.sample_p99(
-            utilization,
-            rng,
-            requests_observed=max(qps * epoch, 10.0),
-            backlog_penalty=backlog_penalty,
-        )
+        curve = self.curve
+        return curve.sample(utilization, curve.noise(qps * epoch), backlog_penalty, rng)
 
     # -- contention the service generates --------------------------------------
 

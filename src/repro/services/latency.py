@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.rng import NormalStream
+
 
 @dataclass(frozen=True)
 class LatencyCurveParams:
@@ -79,21 +81,38 @@ class LatencyCurve:
         x = (target - self._params.base_p99) / self._amplitude
         return x / (1.0 + x)
 
+    def noise(self, requests_observed: float) -> tuple[float, float]:
+        """``(mean, sigma)`` of the lognormal epoch noise.
+
+        ``requests_observed`` controls the estimation error of the p99 (few
+        samples -> noisier percentile); the mean keeps the noise's
+        expectation at 1.
+        """
+        n = max(requests_observed, 10.0)
+        sigma = self._params.noise_sigma * (1.0 + 30.0 / math.sqrt(n))
+        return -0.5 * sigma * sigma, sigma
+
+    def sample(
+        self,
+        utilization: float,
+        noise: tuple[float, float],
+        backlog_penalty: float,
+        rng: np.random.Generator | NormalStream,
+    ) -> float:
+        """One noisy epoch observation at ``utilization`` under ``noise``
+        (from :meth:`noise`).  ``backlog_penalty`` (seconds) adds
+        queue-drain latency accumulated while the service was saturated."""
+        mean, sigma = noise
+        return (self.p99(utilization) + backlog_penalty) * rng.lognormal(mean, sigma)
+
     def sample_p99(
         self,
         utilization: float,
-        rng: np.random.Generator,
+        rng: np.random.Generator | NormalStream,
         requests_observed: float = 1e4,
         backlog_penalty: float = 0.0,
     ) -> float:
-        """One noisy epoch observation of the tail latency.
-
-        ``requests_observed`` controls the estimation error of the p99 (few
-        samples -> noisier percentile).  ``backlog_penalty`` (seconds) adds
-        queue-drain latency accumulated while the service was saturated.
-        """
-        base = self.p99(utilization) + backlog_penalty
-        n = max(requests_observed, 10.0)
-        sigma = self._params.noise_sigma * (1.0 + 30.0 / math.sqrt(n))
-        noise = rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma)
-        return base * noise
+        """One noisy epoch observation of the tail latency."""
+        return self.sample(
+            utilization, self.noise(requests_observed), backlog_penalty, rng
+        )

@@ -1,20 +1,25 @@
-"""The epoch loop's contention state is never stale.
+"""The epoch loop's contention and latency state is never stale.
 
 :class:`ColocationEngine` keeps contention in two levels (tenant side and
-service side), each recomputed only when its inputs move, and advances a
-segment of epochs at a time.  The engine below runs the loop as it was
-before any of that: one epoch per step, every profile rebuilt and
-:meth:`ServerNode.pressure_on` asked for every tenant, every epoch.  Both
-must produce bit-identical results on runs that exercise every change
-that moves contention (level switch, core move, app finishing, new
-service operating point).
+service side), each recomputed only when its inputs move, advances a
+segment of epochs at a time, and samples latency from per-segment pieces
+with block-drawn noise.  The engine below runs the loop as it was before
+any of that: one epoch per step, every profile rebuilt,
+:meth:`ServerNode.pressure_on` asked for every tenant, the one-shot
+:meth:`InteractiveService.sample_p99` drawing from a plain numpy
+generator, the monitor's sampling rule read every epoch and its interval
+mean taken by ``np.mean``.  Both must produce bit-identical results on
+runs that exercise every change that moves contention (level switch,
+core move, app finishing, new service operating point).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster import colocation
+from repro.core import monitor
 from repro.core.runtime import (
     _APP_PRESSURE_SENSITIVITY,
     _IDLE_PROFILE,
@@ -22,6 +27,7 @@ from repro.core.runtime import (
     ColocationEngine,
     IntervalRecord,
 )
+from repro.rng import child_generator
 from repro.server.interference import InterferenceModel
 from repro.sweep import Scenario, results_identical, run_scenario
 
@@ -36,6 +42,9 @@ class AlwaysRecomputeEngine(ColocationEngine):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # A plain generator, one numpy call per draw (the p99 noise and the
+        # elision draw in _final_inaccuracy).
+        self._rng = child_generator(self._config.seed, f"engine/{self._service.name}")
         self.epochs = 0
         self.pressure_calls = 0
         AlwaysRecomputeEngine.instances.append(self)
@@ -91,7 +100,7 @@ class AlwaysRecomputeEngine(ColocationEngine):
             qps, svc_cores, pressure, self._rng, dt,
             backlog_penalty=penalty, inflation=inflation,
         )
-        if self._monitor.should_sample(epoch_index):
+        if self._monitor.samples_every_epoch or epoch_index % 2 == 0:
             self._monitor.record(sample)
         for sim in self._apps.values():
             self._advance(sim, dt)
@@ -154,6 +163,7 @@ def _run_both(scenario: Scenario, monkeypatch):
     AlwaysRecomputeEngine.instances.clear()
     with monkeypatch.context() as patch:
         patch.setattr(colocation, "ColocationEngine", AlwaysRecomputeEngine)
+        patch.setattr(monitor, "_mean", lambda values: float(np.mean(values)))
         fresh = run_scenario(scenario)
     # The reference loop really ran, one epoch per step, asking
     # ServerNode.pressure_on for every tenant every epoch.
@@ -242,6 +252,32 @@ def test_open_ended_diurnal_mixes_identical_to_always_recompute(scenario, monkey
     cached, fresh = _run_both(scenario, monkeypatch)
     assert results_identical(cached, fresh)
     assert any(outcome.completed for outcome in cached.apps)
+
+
+#: Decision intervals of 8 and 16 epochs: the monitor folds 4, 8 or 16
+#: samples (10 and 5 at the default 10), so its mean runs through both
+#: sides of numpy's 8-value block boundary.
+INTERVAL_LENGTHS = [
+    Scenario(
+        service=service, apps=apps, policy="pliant", seed=13,
+        decision_interval=interval, loadgen_shape="diurnal",
+        loadgen_params=LOADS["diurnal"],
+    )
+    for service, apps in [("memcached", ("canneal",)), ("mongodb", ("snp", "kmeans"))]
+    for interval in (0.8, 1.6)
+]
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    INTERVAL_LENGTHS,
+    ids=lambda s: f"{s.service}-{'+'.join(s.apps)}-{s.decision_interval}s",
+)
+def test_other_interval_lengths_identical_to_always_recompute(scenario, monkeypatch):
+    cached, fresh = _run_both(scenario, monkeypatch)
+    assert results_identical(cached, fresh)
+    counts = {record.observation.sample_count for record in cached.intervals}
+    assert 8 in counts
 
 
 def _count_terms(scenario: Scenario, monkeypatch):

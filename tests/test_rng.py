@@ -1,6 +1,8 @@
 """Seeded RNG discipline."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import rng
 
@@ -45,3 +47,47 @@ class TestChildGenerator:
         a = rng.child_generator(5, "app/kmeans").random(16)
         b = rng.child_generator(5, "app/kmeans").random(16)
         assert np.array_equal(a, b)
+
+
+#: One draw: ("lognormal", mean, sigma) or ("normal", loc, scale).
+_DRAWS = st.tuples(
+    st.sampled_from(["lognormal", "normal"]),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+class TestNormalStream:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        pattern=st.lists(_DRAWS, min_size=1, max_size=24),
+        count=st.integers(
+            min_value=2 * rng.NormalStream.BLOCK + 1,
+            max_value=3 * rng.NormalStream.BLOCK + 7,
+        ),
+    )
+    def test_equals_generator_draw_for_draw(self, seed, pattern, count):
+        """``count`` interleaved draws cycling through ``pattern`` cross at
+        least two block boundaries and equal a fresh generator's scalar
+        draws from the same seed bit for bit."""
+        stream = rng.NormalStream(rng.generator(seed))
+        reference = rng.generator(seed)
+        for index in range(count):
+            kind, a, b = pattern[index % len(pattern)]
+            if kind == "lognormal":
+                got, want = stream.lognormal(a, b), reference.lognormal(mean=a, sigma=b)
+            else:
+                got, want = stream.normal(a, b), reference.normal(loc=a, scale=b)
+            assert float(got).hex() == float(want).hex()
+
+    def test_draws_whole_blocks(self):
+        generator = rng.generator(3)
+        stream = rng.NormalStream(generator)
+        stream.normal(0.0, 1.0)
+        after_one = generator.bit_generator.state
+        for _ in range(rng.NormalStream.BLOCK - 1):
+            stream.normal(0.0, 1.0)
+        assert generator.bit_generator.state == after_one
+        stream.normal(0.0, 1.0)
+        assert generator.bit_generator.state != after_one
